@@ -25,7 +25,7 @@ func main() {
 	sf := flag.Float64("sf", 0.01, "TPC-H scale factor for fig5–fig13")
 	spam := flag.Int("spam", 10000, "spam scale (JSON objects) for fig14/tab3")
 	raw := flag.Bool("raw", false, "also print machine-readable rows")
-	jsonOut := flag.String("json", "BENCH_PR2.json", "write a machine-readable report to this path (empty disables)")
+	jsonOut := flag.String("json", "", "write a machine-readable report to this path (empty: no report)")
 	iters := flag.Int("iters", 5, "runs per query for phase-split and overhead medians")
 	obsBudget := flag.Float64("obs-budget", 0, "fail (exit 1) if the obs experiment's overhead ratio exceeds this (0 = report only)")
 	vec2Tolerance := flag.Float64("vec2-tolerance", 0, "fail (exit 1) if vec2 adaptive mode exceeds this multiple of the best static mode on any query (0 = report only)")

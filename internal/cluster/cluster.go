@@ -17,11 +17,11 @@
 // Failure semantics per fragment: one retry on the next worker in
 // topology order, an optional hedge (the retry launched speculatively
 // when the primary is slower than Config.HedgeAfter), then a clean
-// error. A fragment response is either a complete NDJSON frame with a
-// verified trailer or a failed attempt — truncated and malformed
-// streams never contribute rows, so a distributed query returns either
-// the full correct result or an error, never partial or duplicated
-// data.
+// error. A fragment response is either one complete binary frame with a
+// verified end marker (exec/fragment.go) or a failed attempt — truncated,
+// malformed, oversized and wrong-version frames never contribute rows, so
+// a distributed query returns either the full correct result or an error,
+// never partial or duplicated data.
 package cluster
 
 import (
@@ -155,39 +155,52 @@ type fragStat struct {
 // Execute runs (lang, query) distributed when the plan is eligible.
 // handled=false means the caller must execute locally: the plan has no
 // partitionable driving scan, the topology is empty, or a worker's plan
-// diverged (ErrPlanMismatch → counted as a fallback). handled=true with
+// diverged (ErrPlanMismatch) — each counted as a fallback under its reason
+// (obs.ClusterFallbackReasons). handled=true with
 // err=nil returns the complete merged result (never partial rows);
 // handled=true with err≠nil means the distributed attempt failed after
 // per-fragment retries and the query should fail — the fragments may
 // have observed side-effect-free partial work only.
 //
-// ORDER BY / LIMIT are NOT applied here: fragments and the merge run with
-// Env.Sort ignored, and the caller applies its sort wrapper exactly as it
-// would over a local unsorted program.
+// ORDER BY / LIMIT are NOT applied here: the merge ignores Env.Sort, and
+// the caller applies its sort wrapper exactly as it would over a local
+// unsorted program. (A worker may already have cut its rows to the
+// statement's top k — exec.CompileFragment — which that wrapper cannot tell
+// from the outside.)
 func (c *Coordinator) Execute(ctx context.Context, env *exec.Env, lang, query string, plan algebra.Node, tag string) (*exec.Result, []obs.Span, bool, error) {
+	m := env.Metrics
+	local := func(reason string) (*exec.Result, []obs.Span, bool, error) {
+		if m != nil {
+			m.CountClusterFallback(reason)
+		}
+		return nil, nil, false, nil
+	}
 	workers := c.Workers()
 	if len(workers) == 0 {
-		return nil, nil, false, nil
+		return local(obs.FallbackNoWorkers)
 	}
 	drive := exec.DrivingScan(plan)
 	if drive == nil {
-		return nil, nil, false, nil
+		return local(obs.FallbackUnpartitionable)
 	}
 	ds, in, err := env.Catalog.Dataset(drive.Dataset)
 	if err != nil {
-		return nil, nil, false, nil // let local execution surface the error
+		return local(obs.FallbackUnpartitionable) // let local execution surface the error
 	}
 	part, ok := in.(plugin.Partitioner)
 	if !ok {
-		return nil, nil, false, nil
+		return local(obs.FallbackUnpartitionable)
 	}
 	morsels, err := part.PartitionScan(ds, len(workers))
-	if err != nil || len(morsels) < 2 {
-		return nil, nil, false, nil
+	if err != nil {
+		return local(obs.FallbackUnpartitionable)
+	}
+	if len(morsels) < 2 {
+		return local(obs.FallbackSingleMorsel)
 	}
 	ms, err := exec.CompileMergeState(plan, env)
 	if err != nil {
-		return nil, nil, false, nil
+		return local(obs.FallbackStateUncodable)
 	}
 
 	req := fragmentRequest{Lang: lang, Query: query, Fingerprint: ms.Fingerprint()}
@@ -230,7 +243,6 @@ func (c *Coordinator) Execute(ctx context.Context, env *exec.Env, lang, query st
 	}
 	wg.Wait()
 
-	m := env.Metrics
 	var retries, hedges int64
 	for _, s := range stats {
 		retries += s.retries
@@ -249,10 +261,7 @@ func (c *Coordinator) Execute(ctx context.Context, env *exec.Env, lang, query st
 			return nil, spans, true, context.Cause(ctx)
 		}
 		if errors.Is(firstErr, ErrPlanMismatch) {
-			if m != nil {
-				m.ClusterFallbacks.Add(1)
-			}
-			return nil, nil, false, nil
+			return local(obs.FallbackFPMismatch)
 		}
 		if m != nil {
 			m.ClusterErrors.Add(1)
@@ -262,7 +271,9 @@ func (c *Coordinator) Execute(ctx context.Context, env *exec.Env, lang, query st
 
 	// Gather: merge strictly in morsel order — the property that makes the
 	// distributed result identical to serial execution.
+	var wireBytes int64
 	for i, p := range partials {
+		wireBytes += int64(p.WireBytes())
 		if err := ms.Merge(p); err != nil {
 			if m != nil {
 				m.ClusterErrors.Add(1)
@@ -281,6 +292,7 @@ func (c *Coordinator) Execute(ctx context.Context, env *exec.Env, lang, query st
 	if m != nil {
 		m.ClusterQueries.Add(1)
 		m.ClusterFragments.Add(int64(len(partials)))
+		m.ClusterFragmentBytes.Add(wireBytes)
 	}
 	return res, spans, true, nil
 }
@@ -358,6 +370,8 @@ func (c *Coordinator) runFragment(ctx context.Context, workers []string, idx int
 }
 
 // fetchFragment performs one HTTP fragment attempt and decodes the frame.
+// DecodePartialStream reads at most exec.MaxFrameBytes of the body, so a
+// worker that never stops sending costs a bounded read and a failed attempt.
 func (c *Coordinator) fetchFragment(ctx context.Context, worker string, req fragmentRequest, tag string) (*exec.Partial, error) {
 	actx, cancel := context.WithTimeout(ctx, c.fragmentTimeout)
 	defer cancel()

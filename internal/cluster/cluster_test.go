@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -26,6 +27,7 @@ import (
 	"proteus/internal/cluster"
 	"proteus/internal/engine"
 	"proteus/internal/exec"
+	"proteus/internal/obs"
 	"proteus/internal/plugin"
 	"proteus/internal/server"
 	"proteus/internal/types"
@@ -84,8 +86,14 @@ func registerData(t *testing.T, e *engine.Engine) {
 // newWorker builds one worker query service over a fresh DB and returns its
 // base URL plus the worker's engine (for metrics assertions).
 func newWorker(t *testing.T) (string, *engine.Engine) {
+	return newWorkerMode(t, proteus.VectorizedAuto)
+}
+
+// newWorkerMode is newWorker with the worker's execution mode chosen: the
+// wire is mode-independent, so workers of different modes may serve one query.
+func newWorkerMode(t *testing.T, mode proteus.VecMode) (string, *engine.Engine) {
 	t.Helper()
-	db := proteus.Open(proteus.Config{Parallelism: 1})
+	db := proteus.Open(proteus.Config{Parallelism: 1, Vectorized: mode})
 	registerData(t, db.Engine())
 	ts := httptest.NewServer(server.New(server.Config{DB: db}).Handler())
 	t.Cleanup(ts.Close)
@@ -167,8 +175,8 @@ func (p *faultProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
 	w.WriteHeader(resp.StatusCode)
 	if p.mode == "truncate" && first {
-		// Worker death mid-NDJSON-stream: half a frame, then EOF. The missing
-		// trailer makes the coordinator treat the attempt as failed, not as data.
+		// Worker death mid-frame: half of it, then EOF. The missing end marker
+		// makes the coordinator treat the attempt as failed, not as data.
 		w.Write(data[:len(data)/2])
 		return
 	}
@@ -313,8 +321,128 @@ func TestFaultPlanMismatchFallsBack(t *testing.T) {
 	if !reflect.DeepEqual(want.Rows, got.Rows) {
 		t.Fatalf("fallback result diverges from local: %v vs %v", want.Rows, got.Rows)
 	}
-	if m := coord.Metrics(); m.ClusterFallbacks < 1 {
-		t.Errorf("cluster_fallbacks = %d, want >= 1", m.ClusterFallbacks)
+	if m := coord.Metrics(); m.ClusterFallbacks != 1 || m.ClusterFallbackReasons[obs.FallbackFPMismatch] != 1 {
+		t.Errorf("cluster_fallbacks = %d %v, want 1 under fp_mismatch", m.ClusterFallbacks, m.ClusterFallbackReasons)
+	}
+}
+
+// TestFaultForeignWireVersion: a peer that answers 200 in another protocol
+// — here the NDJSON frames of earlier builds — costs its attempts and
+// nothing else: a clean error naming the worker, no rows.
+func TestFaultForeignWireVersion(t *testing.T) {
+	var urls, hosts []string
+	for i := 0; i < 2; i++ {
+		old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.WriteString(w, `{"shape":"group","names":["grp"]}`+"\n"+`{"done":true}`+"\n")
+		}))
+		t.Cleanup(old.Close)
+		urls, hosts = append(urls, old.URL), append(hosts, strings.TrimPrefix(old.URL, "http://"))
+	}
+	coord := newCoordinator(t, cluster.Config{Workers: urls})
+
+	res, err := coord.QuerySQL(groupQuery)
+	if err == nil || res != nil {
+		t.Fatalf("query over foreign-protocol workers returned %v, %v", res, err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "not a partial-state frame") ||
+		!(strings.Contains(msg, hosts[0]) || strings.Contains(msg, hosts[1])) {
+		t.Errorf("error does not name the worker and the cause: %v", err)
+	}
+	if m := coord.Metrics(); m.ClusterErrors != 1 || m.ClusterFragmentBytes != 0 {
+		t.Errorf("cluster_errors = %d, fragment bytes = %d; want 1, 0", m.ClusterErrors, m.ClusterFragmentBytes)
+	}
+}
+
+// TestFallbackReasonsAndWireVolume pins the decision provenance counters:
+// every query a coordinator answers by itself is filed under its reason, and
+// every gathered frame under proteus_cluster_fragment_bytes_total.
+func TestFallbackReasonsAndWireVolume(t *testing.T) {
+	urls := make([]string, 3)
+	for i := range urls {
+		urls[i], _ = newWorker(t)
+	}
+	coord := newCoordinator(t, cluster.Config{Workers: urls})
+	checkAgainstLocal(t, newLocal(t), coord, groupQuery)
+	m := coord.Metrics()
+	if m.ClusterFallbacks != 0 || m.ClusterFragments != 3 {
+		t.Fatalf("after one scattered query: fallbacks %d, fragments %d", m.ClusterFallbacks, m.ClusterFragments)
+	}
+	// Three frames of five string-keyed groups each: small, but not empty.
+	if m.ClusterFragmentBytes < 3*40 || m.ClusterFragmentBytes > 3*400 {
+		t.Errorf("cluster_fragment_bytes = %d for three five-group frames", m.ClusterFragmentBytes)
+	}
+
+	if _, err := coord.QuerySQL("SELECT COUNT(*) FROM tiny"); err != nil {
+		t.Fatal(err)
+	}
+	lonely := newCoordinator(t, cluster.Config{})
+	if _, err := lonely.QuerySQL(groupQuery); err != nil {
+		t.Fatal(err)
+	}
+	if got := coord.Metrics().ClusterFallbackReasons; got[obs.FallbackSingleMorsel] != 1 || len(got) != 1 {
+		t.Errorf("fallback reasons after a one-morsel query: %v", got)
+	}
+	if got := lonely.Metrics().ClusterFallbackReasons; got[obs.FallbackNoWorkers] != 1 || len(got) != 1 {
+		t.Errorf("fallback reasons without workers: %v", got)
+	}
+	text := coord.Metrics().Prometheus()
+	for _, line := range []string{
+		`proteus_cluster_fallbacks_total{reason="single_morsel"} 1`,
+		`proteus_cluster_fallbacks_total{reason="fp_mismatch"} 0`,
+		fmt.Sprintf("proteus_cluster_fragment_bytes_total %d", m.ClusterFragmentBytes),
+	} {
+		if !strings.Contains(text, line+"\n") {
+			t.Errorf("/metrics lacks %q", line)
+		}
+	}
+}
+
+// TestOrderLimitAcrossMorsels: ORDER BY … LIMIT is cut to the top k on each
+// worker and sorted again by the coordinator; the result must be the local
+// one row for row — with ties straddling morsel boundaries (grp has five
+// values, val thirty-one, over three morsels of twenty rows), mixed
+// directions, limits above a morsel's matches, and no limit at all — whatever
+// mix of execution modes the workers run.
+func TestOrderLimitAcrossMorsels(t *testing.T) {
+	urls := make([]string, 3)
+	for i, mode := range []proteus.VecMode{proteus.VectorizedOn, proteus.VectorizedOff, proteus.VectorizedAuto} {
+		urls[i], _ = newWorkerMode(t, mode)
+	}
+	coord := newCoordinator(t, cluster.Config{Workers: urls})
+	local := newLocal(t)
+	queries := []string{
+		"SELECT id, grp FROM t ORDER BY grp LIMIT 7",
+		"SELECT id, grp, val FROM t ORDER BY grp DESC, val LIMIT 13",
+		"SELECT id, val FROM t ORDER BY val, id DESC LIMIT 25",  // above a morsel's 20 rows
+		"SELECT id, f FROM t WHERE id > 55 ORDER BY f LIMIT 50", // above every match
+		"SELECT id, f FROM t ORDER BY f DESC",                   // no LIMIT: nothing is cut
+		"SELECT id, grp FROM t LIMIT 0",                         // LIMIT 0 is no limit
+		"SELECT id, grp FROM t LIMIT 4",
+		"SELECT a.id, b.v FROM t a JOIN u b ON a.id = b.id ORDER BY b.v DESC LIMIT 3",
+	}
+	// Fixed-seed random specs over the tie-heavy columns.
+	r := rand.New(rand.NewSource(20260925))
+	cols := []string{"grp", "val", "f", "id"}
+	for i := 0; i < 40; i++ {
+		r.Shuffle(len(cols), func(a, b int) { cols[a], cols[b] = cols[b], cols[a] })
+		var keys []string
+		for _, c := range cols[:1+r.Intn(3)] {
+			if r.Intn(2) == 0 {
+				c += " DESC"
+			}
+			keys = append(keys, c)
+		}
+		q := fmt.Sprintf("SELECT id, grp, val, f FROM t WHERE val >= %d ORDER BY %s", r.Intn(12), strings.Join(keys, ", "))
+		if limit := r.Intn(70); limit%4 != 0 {
+			q += fmt.Sprintf(" LIMIT %d", limit)
+		}
+		queries = append(queries, q)
+	}
+	for _, q := range queries {
+		checkAgainstLocal(t, local, coord, q)
+	}
+	if m := coord.Metrics(); m.ClusterFallbacks != 0 || m.ClusterRetries != 0 {
+		t.Errorf("fallbacks %d, retries %d; want none", m.ClusterFallbacks, m.ClusterRetries)
 	}
 }
 

@@ -140,7 +140,12 @@ func (e *Engine) ExecuteFragment(ctx context.Context, lang, query string, start,
 			return nil, fmt.Errorf("%w: coordinator has %s, this worker planned %s",
 				ErrFragmentMismatch, wantFP, plan.Fingerprint())
 		}
-		env := &exec.Env{Catalog: e, Caches: e.caches, Stats: e.stats, MemBudget: e.memBudget}
+		// The configured mode, not chooseVecMode's: what a fragment compiles to
+		// must not depend on this worker's private run history.
+		env := &exec.Env{
+			Catalog: e, Caches: e.caches, Stats: e.stats, MemBudget: e.memBudget,
+			Vectorize: e.vectorize, Sort: sortSpecOf(c),
+		}
 		fprog, err := exec.CompileFragment(plan, env, start, end)
 		if err != nil {
 			return nil, err

@@ -500,14 +500,7 @@ func (e *Engine) prepare(ctx context.Context, c *calculus.Comprehension, tr *tra
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	var sortSpec *exec.SortSpec
-	if len(c.OrderBy) > 0 || c.Limit > 0 {
-		sortSpec = &exec.SortSpec{
-			By:    append([]string(nil), c.OrderBy...),
-			Desc:  append([]bool(nil), c.OrderDesc...),
-			Limit: c.Limit,
-		}
-	}
+	sortSpec := sortSpecOf(c)
 	fp := plan.Fingerprint()
 	mode, source := e.chooseVecMode(fp)
 	endCompile := tr.phase(obs.PhaseCompile)
@@ -529,6 +522,19 @@ func (e *Engine) prepare(ctx context.Context, c *calculus.Comprehension, tr *tra
 		})
 	}
 	return &Prepared{Plan: plan, Program: prog, Sort: sortSpec}, nil
+}
+
+// sortSpecOf extracts the statement's ORDER BY / LIMIT, nil when it has
+// neither.
+func sortSpecOf(c *calculus.Comprehension) *exec.SortSpec {
+	if len(c.OrderBy) == 0 && c.Limit <= 0 {
+		return nil
+	}
+	return &exec.SortSpec{
+		By:    append([]string(nil), c.OrderBy...),
+		Desc:  append([]bool(nil), c.OrderDesc...),
+		Limit: c.Limit,
+	}
 }
 
 // orderAndLimit validates the ORDER BY columns against the result shape and

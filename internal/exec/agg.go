@@ -380,22 +380,6 @@ func (c *Compiler) compileReducePartial(red *algebra.Reduce) (func(r *vbuf.Regs)
 	return run, st, nil
 }
 
-// compileReduce compiles the root Reduce for serial execution.
-func (c *Compiler) compileReduce(red *algebra.Reduce) (func(r *vbuf.Regs) (*Result, error), error) {
-	run, st, err := c.compileReducePartial(red)
-	if err != nil {
-		return nil, err
-	}
-	return func(r *vbuf.Regs) (*Result, error) {
-		// Re-arm state for repeated executions of the same program.
-		st.reset()
-		if err := run(r); err != nil {
-			return nil, err
-		}
-		return st.result()
-	}, nil
-}
-
 // group holds one hash-group's accumulators during Nest evaluation.
 type group struct {
 	hash    uint64
@@ -408,7 +392,8 @@ type group struct {
 // merged first-encounter order equals the serial scan order (workers hold
 // contiguous, ordered morsel ranges).
 type nestPartial struct {
-	outNames  []string
+	outNames  []string // numKeys group columns, then the aggregates
+	numKeys   int
 	freshAccs func() []*accumulator
 
 	// Fast path: single integer key. NULL keys form their own group
@@ -486,6 +471,15 @@ func (p *nestPartial) merge(o partialState) error {
 	return nil
 }
 
+// hashKeys is the group hash of a composite key.
+func hashKeys(keyVals []types.Value) uint64 {
+	h := uint64(14695981039346656037)
+	for _, v := range keyVals {
+		h = hashMix(h, v.Hash())
+	}
+	return h
+}
+
 func sameKeys(a, b []types.Value) bool {
 	for i := range a {
 		if types.Compare(a[i], b[i]) != 0 {
@@ -560,6 +554,7 @@ func (c *Compiler) compileNestPartial(n *algebra.Nest) (func(r *vbuf.Regs) error
 	st := &nestPartial{
 		rowsCell: c.rootRowsCell(n),
 		outNames: append(append([]string{}, n.GroupNames...), n.AggNames...),
+		numKeys:  len(n.GroupBy),
 		freshAccs: func() []*accumulator {
 			accs := make([]*accumulator, len(protoAccs))
 			for i, p := range protoAccs {
@@ -677,7 +672,6 @@ func (c *Compiler) compileNestPartial(n *algebra.Nest) (func(r *vbuf.Regs) error
 					return nil
 				}
 			}
-			h := uint64(14695981039346656037)
 			keyVals := make([]types.Value, len(keyEvals))
 			for i, ev := range keyEvals {
 				v, ok := ev(r)
@@ -685,8 +679,8 @@ func (c *Compiler) compileNestPartial(n *algebra.Nest) (func(r *vbuf.Regs) error
 					v = types.NullValue()
 				}
 				keyVals[i] = v
-				h = hashMix(h, v.Hash())
 			}
+			h := hashKeys(keyVals)
 			var g *group
 			for _, cand := range st.groups[h] {
 				if sameKeys(cand.keyVals, keyVals) {
@@ -718,19 +712,4 @@ func (c *Compiler) compileNestPartial(n *algebra.Nest) (func(r *vbuf.Regs) error
 		return nil, nil, err
 	}
 	return run, st, nil
-}
-
-// compileNest compiles the root Nest for serial execution.
-func (c *Compiler) compileNest(n *algebra.Nest) (func(r *vbuf.Regs) (*Result, error), error) {
-	run, st, err := c.compileNestPartial(n)
-	if err != nil {
-		return nil, err
-	}
-	return func(r *vbuf.Regs) (*Result, error) {
-		st.reset()
-		if err := run(r); err != nil {
-			return nil, err
-		}
-		return st.result()
-	}, nil
 }

@@ -2,37 +2,51 @@
 // half of distributed scatter/gather (internal/cluster).
 //
 // A fragment is one morsel of a plan's driving scan executed to its
-// pipeline breaker on a remote worker: scan → filter → partial aggregate,
-// exactly one worker clone of CompileParallel, except the "worker" is
-// another process. The worker serializes its thread-local partialState as
-// an NDJSON frame; the coordinator decodes each frame and folds it into a
-// MergeState in morsel order through the same merge methods parallel.go
-// uses — so the distributed result is byte-identical to the single-node
-// one (float SUM/AVG reassociation aside, as for in-process parallelism).
+// pipeline breaker on a remote worker: scan → filter → partial aggregate.
+// It is the worker unit of parallel.go — the same compileUnit call, the same
+// batch kernels where the pipeline is batch-capable and the same tuple
+// closures where it is not — except that the "worker" is another process.
+// Which of the two a fragment compiles to is a static function of the plan,
+// the catalog and Env.Vectorize; the coordinator never needs to know,
+// because the wire vocabulary is the five mode-independent shapes below: a
+// vectorized state and its tuple twin hold the same monoid partials (the
+// partial() values parallel merging already exchanges), group_int names the
+// single-int-key grouping both styles order by key at materialization, and
+// rows are rows. The coordinator decodes each frame into the (tuple-typed)
+// state it compiled and folds it in morsel order through the merge methods
+// parallel.go uses — so the distributed result is byte-identical to the
+// single-node one (float SUM/AVG reassociation aside, as for in-process
+// parallelism).
 //
-// Fragments always compile tuple-at-a-time (Vectorize forced to VecOff):
-// the three tuple-mode partial states — barePartial, reducePartial,
-// nestPartial — are the complete wire vocabulary, and both sides compile
-// the same plan with the same forcing, so their states always pair up
-// (including nestPartial's single-int-key choice, which changes result
-// ordering). Floats travel as strconv 'g'/-1 strings so NaN and ±Inf
-// survive encoding/json and round-trip bit-exactly.
+// On the wire a partial is one binary frame (types.AppendValue for values):
+//
+//	"PRTF" version shape fingerprint names
+//	rows shapes:   row field names (none = free-form rows), units, rows
+//	agg shape:     units (= 1), the aggregate set (one per name)
+//	group shapes:  keys per group, units, groups (the other names are aggregates)
+//	end marker, units again
+//
+// Column and field names travel once, rows and groups carry values only,
+// floats are raw IEEE-754 bits. A frame that ends before its end marker, or
+// whose marker disagrees with its header, is a failed attempt, never data;
+// so is one of another version — peers must run the same build, as they
+// must already share catalogs and plan fingerprints.
 package exec
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
-	"strconv"
+	"math"
+	"reflect"
+	"slices"
 
 	"proteus/internal/algebra"
 	"proteus/internal/cache"
-	"proteus/internal/expr"
 	"proteus/internal/plugin"
 	"proteus/internal/types"
-	"proteus/internal/vbuf"
 )
 
 // DrivingScan returns the plan's leftmost leaf scan — the pipeline's source
@@ -40,510 +54,538 @@ import (
 // has no scan to drive it.
 func DrivingScan(n algebra.Node) *algebra.Scan { return drivingScan(n) }
 
-// Partial shapes: which partialState variant a fragment frame carries.
+// Partial shapes: which root state a fragment frame carries. On the wire a
+// shape is its index in wireShapes.
 const (
-	ShapeBare     = "bare"      // barePartial: plain rows
-	ShapeCollect  = "collect"   // reducePartial, bag/list yield: plain rows
-	ShapeAgg      = "agg"       // reducePartial: one accumulator set
-	ShapeGroup    = "group"     // nestPartial, general keys
-	ShapeGroupInt = "group_int" // nestPartial, single-int fast path
+	ShapeBare     = "bare"      // bare plan: plain rows
+	ShapeCollect  = "collect"   // Reduce with a bag/list yield: plain rows
+	ShapeAgg      = "agg"       // Reduce: one accumulator set
+	ShapeGroup    = "group"     // Nest, general keys
+	ShapeGroupInt = "group_int" // Nest, single int key (result ordered by key)
 )
 
-// WireValue is the typed wire encoding of one types.Value. Kinds: "n" null,
-// "b" bool (I 0/1), "i" int, "f" float (F, strconv 'g'/-1 so NaN/±Inf and
-// every bit pattern round-trip), "s" string, "r" record (Names + Vals),
-// "l" list and "g" bag (Vals).
-type WireValue struct {
-	K     string      `json:"k"`
-	I     int64       `json:"i,omitempty"`
-	F     string      `json:"f,omitempty"`
-	S     string      `json:"s,omitempty"`
-	Names []string    `json:"names,omitempty"`
-	Vals  []WireValue `json:"vals,omitempty"`
-}
+var wireShapes = [...]string{1: ShapeBare, ShapeCollect, ShapeAgg, ShapeGroup, ShapeGroupInt}
 
-// WireAgg is the wire encoding of one accumulator's partial state, tagged
-// by the monoid's internal representation.
-type WireAgg struct {
-	Kind  string      `json:"k"`               // count|int|float|str|avg|elems
-	Seen  bool        `json:"seen,omitempty"`  // scalar min/max/sum: any input folded
-	I     int64       `json:"i,omitempty"`     // count n; int scalar value
-	F     string      `json:"f,omitempty"`     // float scalar / avg sum
-	S     string      `json:"s,omitempty"`     // string scalar value
-	N     int64       `json:"n,omitempty"`     // avg count
-	Elems []WireValue `json:"elems,omitempty"` // bag/list elements
-}
+// An accumulator's partial state travels as the monoid's own partial value
+// (accumulator.partial — the same value whichever execution style folded
+// it), tagged on the wire by one of these kinds.
+const (
+	aggCount byte = iota + 1 // int64: rows counted
+	aggInt                   // scalarPart[int64]: int sum/min/max
+	aggFloat                 // scalarPart[float64]: float sum/min/max
+	aggStr                   // scalarPart[string]: string min/max
+	aggAvg                   // avgPart: sum and count
+	aggElems                 // []types.Value: bag/list elements
+)
 
-// WireGroup is one group of a grouped fragment frame: its key values (one
-// per GROUP BY key; the single-int shape carries exactly one, "n"-kind for
-// the NULL-key group) and its accumulator partials.
+// WireGroup is one group of a grouped frame: its key values (NumKeys of
+// them; the single-int shape carries one, null for the NULL-key group) and
+// one accumulator partial per remaining output column.
 type WireGroup struct {
-	Keys []WireValue `json:"keys"`
-	Aggs []WireAgg   `json:"aggs"`
+	Keys []types.Value
+	Aggs []any
 }
 
-// Partial is one fragment's decoded partial-state frame.
+// Partial is one fragment's partial state, as run on the worker or as
+// decoded on the coordinator.
 type Partial struct {
 	Shape       string
-	Names       []string
+	Names       []string // output columns
 	Fingerprint string
-	Rows        []WireValue // bare, collect
-	Aggs        []WireAgg   // agg (exactly one set)
-	hasAggs     bool
-	Groups      []WireGroup // group, group_int
+	// Rows (bare, collect). When every row is a record over the same field
+	// names, the frame ships those once and the rows' values only.
+	Rows []types.Value
+	// Aggs is the one accumulator set of an agg frame, one partial per name.
+	Aggs []any
+	// Groups (group, group_int): the first NumKeys names are the keys, the
+	// rest aggregates.
+	Groups  []WireGroup
+	NumKeys int
+
+	wireBytes int
 }
 
-// Units is the number of NDJSON unit lines the frame encodes to.
+// numAggs is how many accumulators one set of an agg or grouped frame holds.
+func (p *Partial) numAggs() int { return len(p.Names) - p.NumKeys }
+
+// Units is the number of units the frame carries: rows, groups, or the one
+// aggregate set.
 func (p *Partial) Units() int {
-	n := len(p.Rows) + len(p.Groups)
-	if p.hasAggs {
-		n++
+	if p.Shape == ShapeAgg {
+		return 1
 	}
-	return n
+	return len(p.Rows) + len(p.Groups)
 }
 
-// value codec ---------------------------------------------------------------
+// WireBytes is the size of the frame this partial was decoded from (0 for
+// one that never crossed the wire).
+func (p *Partial) WireBytes() int { return p.wireBytes }
 
-func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
+// state → Partial -----------------------------------------------------------
 
-func encodeValue(v types.Value) (WireValue, error) {
-	switch v.Kind {
-	case types.KindNull:
-		return WireValue{K: "n"}, nil
-	case types.KindBool:
-		w := WireValue{K: "b"}
-		if v.Bool() {
-			w.I = 1
+func partsOf[S any](states []S, part func(S) any) []any {
+	out := make([]any, len(states))
+	for i, st := range states {
+		out[i] = part(st)
+	}
+	return out
+}
+
+func accPart(a *accumulator) any    { return a.partial() }
+func vecPart(s vecAggState) any     { return s.partial() }
+func groupPart(s vecGroupState) any { return s.partial() }
+
+// intKeysPartial fills in the group_int frame both single-int-key states
+// serialize to: the NULL-key group first (when seen), then the keys in
+// first-encounter order.
+func intKeysPartial[S any](p *Partial, null []S, order []int64, groups map[int64][]S, part func(S) any) *Partial {
+	p.Shape, p.NumKeys = ShapeGroupInt, 1
+	p.Groups = make([]WireGroup, 0, len(order)+1)
+	if null != nil {
+		p.Groups = append(p.Groups, WireGroup{Keys: []types.Value{types.NullValue()}, Aggs: partsOf(null, part)})
+	}
+	for _, k := range order {
+		p.Groups = append(p.Groups, WireGroup{Keys: []types.Value{types.IntValue(k)}, Aggs: partsOf(groups[k], part)})
+	}
+	return p
+}
+
+// sharedFieldNames returns the field names every row carries when all rows
+// are records over one name list, nil otherwise (including for no rows).
+func sharedFieldNames(rows []types.Value) []string {
+	var names []string
+	for i, row := range rows {
+		if row.Kind != types.KindRecord || row.Rec == nil || len(row.Rec.Names) == 0 ||
+			len(row.Rec.Values) != len(row.Rec.Names) {
+			return nil
 		}
-		return w, nil
-	case types.KindInt:
-		return WireValue{K: "i", I: v.I}, nil
-	case types.KindFloat:
-		return WireValue{K: "f", F: formatFloat(v.F)}, nil
-	case types.KindString:
-		return WireValue{K: "s", S: v.S}, nil
-	case types.KindRecord:
-		w := WireValue{K: "r"}
-		if v.Rec != nil {
-			w.Names = v.Rec.Names
-			vals, err := encodeValues(v.Rec.Values)
-			if err != nil {
-				return WireValue{}, err
+		if i == 0 {
+			names = row.Rec.Names
+			continue
+		}
+		if len(row.Rec.Names) != len(names) {
+			return nil
+		}
+		if &row.Rec.Names[0] == &names[0] {
+			continue // the common case: one compiled constructor, one slice
+		}
+		for j, n := range row.Rec.Names {
+			if n != names[j] {
+				return nil
 			}
-			w.Vals = vals
 		}
-		return w, nil
-	case types.KindList, types.KindBag:
-		k := "l"
-		if v.Kind == types.KindBag {
-			k = "g"
-		}
-		vals, err := encodeValues(v.Elems)
-		if err != nil {
-			return WireValue{}, err
-		}
-		return WireValue{K: k, Vals: vals}, nil
 	}
-	return WireValue{}, fmt.Errorf("exec: value kind %d is not wire-encodable", v.Kind)
+	return names
 }
 
-func encodeValues(vs []types.Value) ([]WireValue, error) {
-	if vs == nil {
-		return nil, nil
-	}
-	out := make([]WireValue, len(vs))
-	for i, v := range vs {
-		w, err := encodeValue(v)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = w
-	}
-	return out, nil
-}
-
-func decodeValue(w WireValue) (types.Value, error) {
-	switch w.K {
-	case "n":
-		return types.NullValue(), nil
-	case "b":
-		return types.BoolValue(w.I != 0), nil
-	case "i":
-		return types.IntValue(w.I), nil
-	case "f":
-		f, err := strconv.ParseFloat(w.F, 64)
-		if err != nil {
-			return types.Value{}, fmt.Errorf("exec: bad wire float %q: %w", w.F, err)
-		}
-		return types.FloatValue(f), nil
-	case "s":
-		return types.StringValue(w.S), nil
-	case "r":
-		if len(w.Names) != len(w.Vals) {
-			return types.Value{}, fmt.Errorf("exec: wire record has %d names, %d values", len(w.Names), len(w.Vals))
-		}
-		vals, err := decodeValues(w.Vals)
-		if err != nil {
-			return types.Value{}, err
-		}
-		if vals == nil {
-			vals = []types.Value{}
-		}
-		return types.RecordValue(w.Names, vals), nil
-	case "l", "g":
-		vals, err := decodeValues(w.Vals)
-		if err != nil {
-			return types.Value{}, err
-		}
-		kind := types.KindList
-		if w.K == "g" {
-			kind = types.KindBag
-		}
-		return types.Value{Kind: kind, Elems: vals}, nil
-	}
-	return types.Value{}, fmt.Errorf("exec: unknown wire value kind %q", w.K)
-}
-
-func decodeValues(ws []WireValue) ([]types.Value, error) {
-	if ws == nil {
-		return nil, nil
-	}
-	out := make([]types.Value, len(ws))
-	for i, w := range ws {
-		v, err := decodeValue(w)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// accumulator codec ---------------------------------------------------------
-
-func encodeAcc(acc *accumulator) (WireAgg, error) {
-	switch p := acc.partial().(type) {
-	case int64:
-		return WireAgg{Kind: "count", I: p}, nil
-	case scalarPart[int64]:
-		return WireAgg{Kind: "int", I: p.v, Seen: p.seen}, nil
-	case scalarPart[float64]:
-		return WireAgg{Kind: "float", F: formatFloat(p.v), Seen: p.seen}, nil
-	case scalarPart[string]:
-		return WireAgg{Kind: "str", S: p.v, Seen: p.seen}, nil
-	case avgPart:
-		return WireAgg{Kind: "avg", F: formatFloat(p.sum), N: p.n}, nil
-	case []types.Value:
-		elems, err := encodeValues(p)
-		if err != nil {
-			return WireAgg{}, err
-		}
-		return WireAgg{Kind: "elems", Elems: elems}, nil
-	default:
-		return WireAgg{}, fmt.Errorf("exec: aggregate state %T is not wire-encodable", p)
-	}
-}
-
-func encodeAccs(accs []*accumulator) ([]WireAgg, error) {
-	out := make([]WireAgg, len(accs))
-	for i, acc := range accs {
-		w, err := encodeAcc(acc)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = w
-	}
-	return out, nil
-}
-
-// wireKindOf maps an accumulator's partial representation to its wire tag,
-// so decode can reject a frame whose aggregate shapes do not match the
-// coordinator's plan before the (type-asserting) absorb runs.
-func wireKindOf(p any) string {
-	switch p.(type) {
-	case int64:
-		return "count"
-	case scalarPart[int64]:
-		return "int"
-	case scalarPart[float64]:
-		return "float"
-	case scalarPart[string]:
-		return "str"
-	case avgPart:
-		return "avg"
-	case []types.Value:
-		return "elems"
-	}
-	return ""
-}
-
-// decodeAccInto folds one wire aggregate into a freshly reset accumulator.
-func decodeAccInto(acc *accumulator, w WireAgg) error {
-	if want := wireKindOf(acc.partial()); want != w.Kind {
-		return fmt.Errorf("exec: fragment aggregate kind %q does not match plan (want %q)", w.Kind, want)
-	}
-	switch w.Kind {
-	case "count":
-		acc.absorb(w.I)
-	case "int":
-		acc.absorb(scalarPart[int64]{v: w.I, seen: w.Seen})
-	case "float":
-		f, err := strconv.ParseFloat(w.F, 64)
-		if err != nil {
-			return fmt.Errorf("exec: bad wire float %q: %w", w.F, err)
-		}
-		acc.absorb(scalarPart[float64]{v: f, seen: w.Seen})
-	case "str":
-		acc.absorb(scalarPart[string]{v: w.S, seen: w.Seen})
-	case "avg":
-		sum, err := strconv.ParseFloat(w.F, 64)
-		if err != nil {
-			return fmt.Errorf("exec: bad wire float %q: %w", w.F, err)
-		}
-		acc.absorb(avgPart{sum: sum, n: w.N})
-	case "elems":
-		elems, err := decodeValues(w.Elems)
-		if err != nil {
-			return err
-		}
-		acc.absorb(elems)
-	default:
-		return fmt.Errorf("exec: unknown wire aggregate kind %q", w.Kind)
-	}
-	return nil
-}
-
-// decodeAccs materializes one group's accumulators from their wire partials
-// using the merge state's prototype constructors.
-func decodeAccs(freshAccs func() []*accumulator, ws []WireAgg) ([]*accumulator, error) {
-	accs := freshAccs()
-	if len(ws) != len(accs) {
-		return nil, fmt.Errorf("exec: fragment carries %d aggregates, plan has %d", len(ws), len(accs))
-	}
-	for i, w := range ws {
-		if err := decodeAccInto(accs[i], w); err != nil {
-			return nil, err
-		}
-	}
-	return accs, nil
-}
-
-// state encode --------------------------------------------------------------
-
-// encodePartial serializes a fragment run's final partialState. Only the
-// three tuple-mode states exist here: fragments compile with VecOff.
-func encodePartial(st partialState, fp string) (*Partial, error) {
-	switch s := st.(type) {
-	case *barePartial:
-		rows, err := encodeValues(s.rows)
-		if err != nil {
-			return nil, err
-		}
-		return &Partial{Shape: ShapeBare, Names: s.names, Fingerprint: fp, Rows: rows}, nil
-	case *reducePartial:
-		if s.collect {
-			rows, err := encodeValues(s.rows)
+// encodePartial turns a fragment run's final root state into its Partial.
+// topK, when non-nil, is the ORDER BY … LIMIT k to apply to a rows-shaped
+// state first (see CompileFragment); mem is charged for its sort buffer.
+func encodePartial(st partialState, fp string, topK *SortSpec, mem *memGauge) (*Partial, error) {
+	rowsPartial := func(shape string, names []string, rows []types.Value) (*Partial, error) {
+		if topK != nil {
+			// The sort buffer holds every row of the morsel, as the engine's
+			// does for a local run; charge it the same way.
+			if mem != nil {
+				if err := mem.charge(64 * int64(len(rows))); err != nil {
+					return nil, err
+				}
+			}
+			res, err := OrderAndLimit(&Result{Rows: rows}, topK.By, topK.Desc, topK.Limit)
 			if err != nil {
 				return nil, err
 			}
-			return &Partial{Shape: ShapeCollect, Names: s.names, Fingerprint: fp, Rows: rows}, nil
+			rows = res.Rows
 		}
-		aggs, err := encodeAccs(s.accs)
+		return &Partial{Shape: shape, Names: names, Fingerprint: fp, Rows: rows}, nil
+	}
+	switch s := st.(type) {
+	case *barePartial:
+		return rowsPartial(ShapeBare, s.names, s.rows)
+	case *vecCollectPartial:
+		res, err := s.result()
 		if err != nil {
 			return nil, err
 		}
-		return &Partial{Shape: ShapeAgg, Names: s.names, Fingerprint: fp, Aggs: aggs, hasAggs: true}, nil
+		return rowsPartial(ShapeCollect, res.Cols, res.Rows)
+	case *reducePartial:
+		if s.collect {
+			return rowsPartial(ShapeCollect, s.names, s.rows)
+		}
+		return &Partial{Shape: ShapeAgg, Names: s.names, Fingerprint: fp, Aggs: partsOf(s.accs, accPart)}, nil
+	case *vecReducePartial:
+		return &Partial{Shape: ShapeAgg, Names: s.names, Fingerprint: fp, Aggs: partsOf(s.states, vecPart)}, nil
+	case *vecNestPartial:
+		p := &Partial{Names: s.outNames, Fingerprint: fp}
+		return intKeysPartial(p, s.nullGroup, s.order, s.groups, groupPart), nil
 	case *nestPartial:
 		p := &Partial{Names: s.outNames, Fingerprint: fp}
 		if s.singleInt {
-			p.Shape = ShapeGroupInt
-			if s.intNull != nil {
-				aggs, err := encodeAccs(s.intNull)
-				if err != nil {
-					return nil, err
-				}
-				p.Groups = append(p.Groups, WireGroup{Keys: []WireValue{{K: "n"}}, Aggs: aggs})
-			}
-			for _, k := range s.intOrder {
-				aggs, err := encodeAccs(s.intGroups[k])
-				if err != nil {
-					return nil, err
-				}
-				p.Groups = append(p.Groups, WireGroup{Keys: []WireValue{{K: "i", I: k}}, Aggs: aggs})
-			}
-			return p, nil
+			return intKeysPartial(p, s.intNull, s.intOrder, s.intGroups, accPart), nil
 		}
-		p.Shape = ShapeGroup
-		for _, g := range s.order {
-			keys, err := encodeValues(g.keyVals)
-			if err != nil {
-				return nil, err
-			}
-			aggs, err := encodeAccs(g.accs)
-			if err != nil {
-				return nil, err
-			}
-			p.Groups = append(p.Groups, WireGroup{Keys: keys, Aggs: aggs})
+		p.Shape, p.NumKeys = ShapeGroup, s.numKeys
+		p.Groups = make([]WireGroup, len(s.order))
+		for i, g := range s.order {
+			p.Groups[i] = WireGroup{Keys: g.keyVals, Aggs: partsOf(g.accs, accPart)}
 		}
 		return p, nil
 	}
 	return nil, fmt.Errorf("exec: fragment state %T is not serializable", st)
 }
 
-// shapeOf names the wire shape a compiled partialState will produce.
-func shapeOf(st partialState) string {
-	switch s := st.(type) {
-	case *barePartial:
-		return ShapeBare
-	case *reducePartial:
-		if s.collect {
-			return ShapeCollect
-		}
-		return ShapeAgg
-	case *nestPartial:
-		if s.singleInt {
-			return ShapeGroupInt
-		}
-		return ShapeGroup
-	}
-	return ""
-}
+// frame codec ---------------------------------------------------------------
 
-func stateNames(st partialState) []string {
-	switch s := st.(type) {
-	case *barePartial:
-		return s.names
-	case *reducePartial:
-		return s.names
-	case *nestPartial:
-		return s.outNames
-	}
-	return nil
-}
+const (
+	frameMagic   = "PRTF"
+	frameVersion = 1
+	frameEnd     = 0xFF
 
-// NDJSON stream -------------------------------------------------------------
+	// MaxFrameBytes bounds one partial-state frame. The decoder reads no
+	// further than this from a peer and allocates in proportion to what it
+	// actually read, so the bound is also what a hostile peer can cost.
+	MaxFrameBytes = 256 << 20
+)
 
-// fragmentLine is every line of a fragment-response stream: the head line
-// carries Shape (never empty), unit lines carry exactly one of Row / Aggs /
-// Group, and the trailer carries Done (with the expected unit count) or an
-// in-band Error. A stream that ends without a trailer was truncated.
-type fragmentLine struct {
-	Shape       string   `json:"shape,omitempty"`
-	Names       []string `json:"names,omitempty"`
-	Fingerprint string   `json:"fingerprint,omitempty"`
+// errFrameTooLarge reports a frame longer than the cap.
+var errFrameTooLarge = fmt.Errorf("exec: fragment frame exceeds %d bytes", MaxFrameBytes)
 
-	Row   *WireValue `json:"row,omitempty"`
-	Aggs  *[]WireAgg `json:"aggs,omitempty"` // pointer so an empty set still serializes
-	Group *WireGroup `json:"group,omitempty"`
-
-	Done  bool   `json:"done,omitempty"`
-	Units int    `json:"units,omitempty"`
-	Error string `json:"error,omitempty"`
-}
-
-// EncodeStream writes the frame as NDJSON: one head line, one line per
-// unit (row, group, or the single aggregate set), one trailer line.
+// EncodeStream writes the partial as one binary frame (see the package
+// comment for the layout).
 func (p *Partial) EncodeStream(w io.Writer) error {
-	write := func(line fragmentLine) error {
-		data, err := json.Marshal(line)
-		if err != nil {
-			return err
-		}
-		_, err = w.Write(append(data, '\n'))
+	frame, err := p.appendFrame(make([]byte, 0, 64+32*len(p.Rows)+16*len(p.Groups)*len(p.Names)))
+	if err != nil {
 		return err
 	}
-	names := p.Names
-	if names == nil {
-		names = []string{}
-	}
-	if err := write(fragmentLine{Shape: p.Shape, Names: names, Fingerprint: p.Fingerprint}); err != nil {
-		return err
-	}
-	for i := range p.Rows {
-		if err := write(fragmentLine{Row: &p.Rows[i]}); err != nil {
-			return err
-		}
-	}
-	if p.hasAggs {
-		aggs := p.Aggs
-		if aggs == nil {
-			aggs = []WireAgg{}
-		}
-		if err := write(fragmentLine{Aggs: &aggs}); err != nil {
-			return err
-		}
-	}
-	for i := range p.Groups {
-		if err := write(fragmentLine{Group: &p.Groups[i]}); err != nil {
-			return err
-		}
-	}
-	return write(fragmentLine{Done: true, Units: p.Units()})
+	_, err = w.Write(frame)
+	return err
 }
 
-// DecodePartialStream parses one fragment-response frame. Truncated streams
-// (no trailer), unit-count mismatches, in-band errors, and malformed lines
-// all fail loudly — the coordinator treats every such failure as a failed
-// attempt, never as data.
-func DecodePartialStream(r io.Reader) (*Partial, error) {
-	br := bufio.NewReaderSize(r, 64<<10)
-	readLine := func() ([]byte, error) {
-		line, err := br.ReadBytes('\n')
-		if len(line) > 0 && err == io.EOF {
-			err = nil // a final unterminated line is still a line
-		}
-		return line, err
+func appendStrings(dst []byte, ss []string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(ss)))
+	for _, s := range ss {
+		dst = types.AppendString(dst, s)
 	}
-	head, err := readLine()
-	if err != nil {
-		return nil, fmt.Errorf("exec: fragment stream has no head line: %w", err)
+	return dst
+}
+
+func appendFloat(dst []byte, f float64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
+}
+
+func flag(b bool) byte {
+	if b {
+		return 1
 	}
-	var hl fragmentLine
-	if err := json.Unmarshal(head, &hl); err != nil {
-		return nil, fmt.Errorf("exec: malformed fragment head: %w", err)
-	}
-	if hl.Error != "" {
-		return nil, fmt.Errorf("exec: fragment failed: %s", hl.Error)
-	}
-	switch hl.Shape {
-	case ShapeBare, ShapeCollect, ShapeAgg, ShapeGroup, ShapeGroupInt:
-	default:
-		return nil, fmt.Errorf("exec: fragment head has unknown shape %q", hl.Shape)
-	}
-	p := &Partial{Shape: hl.Shape, Names: hl.Names, Fingerprint: hl.Fingerprint}
-	units := 0
-	for {
-		raw, err := readLine()
-		if err != nil {
-			return nil, fmt.Errorf("exec: fragment stream truncated after %d units: %w", units, err)
-		}
-		var ln fragmentLine
-		if err := json.Unmarshal(raw, &ln); err != nil {
-			return nil, fmt.Errorf("exec: malformed fragment line: %w", err)
-		}
-		switch {
-		case ln.Error != "":
-			return nil, fmt.Errorf("exec: fragment failed mid-stream: %s", ln.Error)
-		case ln.Done:
-			if ln.Units != units {
-				return nil, fmt.Errorf("exec: fragment trailer expects %d units, stream carried %d", ln.Units, units)
+	return 0
+}
+
+func appendAggs(dst []byte, parts []any) ([]byte, error) {
+	for _, part := range parts {
+		switch p := part.(type) {
+		case int64:
+			dst = binary.AppendVarint(append(dst, aggCount), p)
+		case scalarPart[int64]:
+			dst = binary.AppendVarint(append(dst, aggInt, flag(p.seen)), p.v)
+		case scalarPart[float64]:
+			dst = appendFloat(append(dst, aggFloat, flag(p.seen)), p.v)
+		case scalarPart[string]:
+			dst = types.AppendString(append(dst, aggStr, flag(p.seen)), p.v)
+		case avgPart:
+			dst = binary.AppendVarint(appendFloat(append(dst, aggAvg), p.sum), p.n)
+		case []types.Value:
+			dst = binary.AppendUvarint(append(dst, aggElems), uint64(len(p)))
+			for _, e := range p {
+				dst = types.AppendValue(dst, e)
 			}
-			return p, nil
-		case ln.Row != nil:
-			p.Rows = append(p.Rows, *ln.Row)
-		case ln.Group != nil:
-			p.Groups = append(p.Groups, *ln.Group)
-		case ln.Aggs != nil:
-			if p.hasAggs {
-				return nil, fmt.Errorf("exec: fragment stream carries more than one aggregate set")
-			}
-			p.Aggs = *ln.Aggs
-			p.hasAggs = true
 		default:
-			return nil, fmt.Errorf("exec: fragment line carries no unit")
+			return nil, fmt.Errorf("exec: aggregate state %T is not wire-encodable", part)
 		}
-		units++
 	}
+	return dst, nil
+}
+
+func (p *Partial) appendFrame(dst []byte) (_ []byte, err error) {
+	shape := slices.Index(wireShapes[:], p.Shape)
+	if shape <= 0 {
+		return nil, fmt.Errorf("exec: partial has unknown shape %q", p.Shape)
+	}
+	dst = append(dst, frameMagic...)
+	dst = append(dst, frameVersion, byte(shape))
+	dst = types.AppendString(dst, p.Fingerprint)
+	dst = appendStrings(dst, p.Names)
+	units := uint64(p.Units())
+	switch p.Shape {
+	case ShapeBare, ShapeCollect:
+		fields := sharedFieldNames(p.Rows)
+		dst = appendStrings(dst, fields)
+		dst = binary.AppendUvarint(dst, units)
+		for _, row := range p.Rows {
+			if fields == nil {
+				dst = types.AppendValue(dst, row)
+				continue
+			}
+			for _, v := range row.Rec.Values {
+				dst = types.AppendValue(dst, v)
+			}
+		}
+	case ShapeAgg:
+		if len(p.Aggs) != len(p.Names) {
+			return nil, fmt.Errorf("exec: partial has %d aggregates for %d columns", len(p.Aggs), len(p.Names))
+		}
+		dst = binary.AppendUvarint(dst, units)
+		if dst, err = appendAggs(dst, p.Aggs); err != nil {
+			return nil, err
+		}
+	default:
+		dst = binary.AppendUvarint(dst, uint64(p.NumKeys))
+		dst = binary.AppendUvarint(dst, units)
+		for _, g := range p.Groups {
+			if len(g.Keys) != p.NumKeys || len(g.Aggs) != p.numAggs() {
+				return nil, fmt.Errorf("exec: partial group is %d keys × %d aggregates, frame says %d × %d",
+					len(g.Keys), len(g.Aggs), p.NumKeys, p.numAggs())
+			}
+			for _, k := range g.Keys {
+				dst = types.AppendValue(dst, k)
+			}
+			if dst, err = appendAggs(dst, g.Aggs); err != nil {
+				return nil, err
+			}
+		}
+	}
+	dst = append(dst, frameEnd)
+	return binary.AppendUvarint(dst, units), nil
+}
+
+// DecodePartialStream reads one frame from r (to EOF, at most MaxFrameBytes)
+// and decodes it. Truncated frames, unit-count mismatches, unknown versions
+// and malformed or trailing bytes all fail loudly — the coordinator treats
+// every such failure as a failed attempt, never as data.
+func DecodePartialStream(r io.Reader) (*Partial, error) {
+	return decodePartialStream(r, MaxFrameBytes)
+}
+
+func decodePartialStream(r io.Reader, maxBytes int) (*Partial, error) {
+	frame, err := io.ReadAll(io.LimitReader(r, int64(maxBytes)+1))
+	if err != nil {
+		return nil, fmt.Errorf("exec: reading fragment frame: %w", err)
+	}
+	if len(frame) > maxBytes {
+		return nil, errFrameTooLarge
+	}
+	fr := frameReader{b: frame}
+	p := fr.partial()
+	if fr.err != nil {
+		return nil, fmt.Errorf("exec: malformed fragment frame: %w", fr.err)
+	}
+	p.wireBytes = len(frame)
+	return p, nil
+}
+
+// frameReader consumes a frame front to back. The first failure sticks and
+// empties the buffer, so every later read fails fast and loops need only
+// test err once per unit.
+type frameReader struct {
+	b   []byte
+	err error
+}
+
+func (r *frameReader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+	r.b = nil
+}
+
+func (r *frameReader) byte() byte {
+	if len(r.b) == 0 {
+		r.fail(types.ErrTruncated)
+		return 0
+	}
+	c := r.b[0]
+	r.b = r.b[1:]
+	return c
+}
+
+func (r *frameReader) bool() bool {
+	c := r.byte()
+	if c > 1 {
+		r.fail(fmt.Errorf("flag byte is %d", c))
+	}
+	return c == 1
+}
+
+// count reads the number of items that follow, each at least minBytes long.
+func (r *frameReader) count(minBytes int) int {
+	n, rest, err := types.DecodeCount(r.b, minBytes)
+	if err != nil {
+		r.fail(err)
+		return 0
+	}
+	r.b = rest
+	return n
+}
+
+func (r *frameReader) varint() int64 {
+	v, n := binary.Varint(r.b)
+	if n <= 0 {
+		r.fail(types.ErrTruncated)
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *frameReader) float() float64 {
+	if len(r.b) < 8 {
+		r.fail(types.ErrTruncated)
+		return 0
+	}
+	f := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
+	r.b = r.b[8:]
+	return f
+}
+
+func (r *frameReader) str() string {
+	s, rest, err := types.DecodeString(r.b)
+	if err != nil {
+		r.fail(err)
+		return ""
+	}
+	r.b = rest
+	return s
+}
+
+func (r *frameReader) strs() []string {
+	out := make([]string, r.count(1))
+	for i := range out {
+		out[i] = r.str()
+	}
+	return out
+}
+
+func (r *frameReader) values(dst []types.Value) {
+	for i := range dst {
+		v, rest, err := types.DecodeValue(r.b)
+		if err != nil {
+			r.fail(err)
+			return
+		}
+		dst[i], r.b = v, rest
+	}
+}
+
+func (r *frameReader) aggs(dst []any) {
+	for i := range dst {
+		switch kind := r.byte(); kind {
+		case aggCount:
+			dst[i] = r.varint()
+		case aggInt:
+			dst[i] = scalarPart[int64]{seen: r.bool(), v: r.varint()}
+		case aggFloat:
+			dst[i] = scalarPart[float64]{seen: r.bool(), v: r.float()}
+		case aggStr:
+			dst[i] = scalarPart[string]{seen: r.bool(), v: r.str()}
+		case aggAvg:
+			dst[i] = avgPart{sum: r.float(), n: r.varint()}
+		case aggElems:
+			elems := make([]types.Value, r.count(1))
+			r.values(elems)
+			dst[i] = elems
+		default:
+			r.fail(fmt.Errorf("unknown aggregate kind %d", kind))
+		}
+		if r.err != nil {
+			return
+		}
+	}
+}
+
+// minAggBytes is the shortest encoded aggregate: a kind byte and a varint.
+const minAggBytes = 2
+
+func (r *frameReader) partial() *Partial {
+	if len(r.b) < len(frameMagic) || string(r.b[:len(frameMagic)]) != frameMagic {
+		r.fail(errors.New("not a partial-state frame"))
+		return nil
+	}
+	r.b = r.b[len(frameMagic):]
+	if v := r.byte(); v != frameVersion && r.err == nil {
+		r.fail(fmt.Errorf("frame has wire version %d, this node speaks %d", v, frameVersion))
+	}
+	shape := int(r.byte())
+	if r.err == nil && (shape == 0 || shape >= len(wireShapes)) {
+		r.fail(fmt.Errorf("unknown shape %d", shape))
+	}
+	if r.err != nil {
+		return nil
+	}
+	p := &Partial{Shape: wireShapes[shape], Fingerprint: r.str(), Names: r.strs()}
+	var units int
+	switch p.Shape {
+	case ShapeBare, ShapeCollect:
+		fields := r.strs()
+		width := len(fields)
+		if width == 0 {
+			units = r.count(1)
+			p.Rows = make([]types.Value, units)
+			r.values(p.Rows)
+			break
+		}
+		units = r.count(width) // a row is at least one byte per field
+		p.Rows = make([]types.Value, units)
+		vals := make([]types.Value, units*width)
+		recs := make([]types.Record, units)
+		r.values(vals)
+		for i := range p.Rows {
+			recs[i] = types.Record{Names: fields, Values: vals[i*width : (i+1)*width : (i+1)*width]}
+			p.Rows[i] = types.Value{Kind: types.KindRecord, Rec: &recs[i]}
+		}
+	case ShapeAgg:
+		if units = r.count(1 + minAggBytes*len(p.Names)); units != 1 && r.err == nil {
+			r.fail(fmt.Errorf("aggregate frame carries %d aggregate sets", units))
+		}
+		p.Aggs = make([]any, units*len(p.Names))
+		r.aggs(p.Aggs)
+	default:
+		// A key or name count is bounded by the bytes read so far (every name
+		// took at least one), so the widths below cannot overflow.
+		p.NumKeys = r.count(1)
+		if r.err == nil && (p.NumKeys == 0 || p.NumKeys > len(p.Names)) {
+			r.fail(fmt.Errorf("grouped frame has %d keys among %d columns", p.NumKeys, len(p.Names)))
+		}
+		if r.err != nil {
+			return nil
+		}
+		nk, na := p.NumKeys, p.numAggs()
+		units = r.count(nk + minAggBytes*na)
+		p.Groups = make([]WireGroup, units)
+		keys := make([]types.Value, units*nk)
+		aggs := make([]any, units*na)
+		for i := range p.Groups {
+			g := &p.Groups[i]
+			g.Keys = keys[i*nk : (i+1)*nk : (i+1)*nk]
+			g.Aggs = aggs[i*na : (i+1)*na : (i+1)*na]
+			r.values(g.Keys)
+			r.aggs(g.Aggs)
+			if r.err != nil {
+				return nil
+			}
+		}
+	}
+	if end := r.byte(); end != frameEnd && r.err == nil {
+		r.fail(fmt.Errorf("end marker is %#x", end))
+	}
+	trailer, n := binary.Uvarint(r.b)
+	switch {
+	case r.err != nil:
+	case n <= 0:
+		r.fail(types.ErrTruncated)
+	case trailer != uint64(units):
+		r.fail(fmt.Errorf("end marker expects %d units, frame declared %d", trailer, units))
+	case len(r.b) > n:
+		r.fail(fmt.Errorf("%d bytes after the end marker", len(r.b)-n))
+	}
+	return p
 }
 
 // fragment compilation ------------------------------------------------------
@@ -552,9 +594,8 @@ func DecodePartialStream(r io.Reader) (*Partial, error) {
 // pipeline clone whose run ends at the pipeline breaker and serializes the
 // thread-local partial state instead of materializing rows.
 type FragmentProgram struct {
-	alloc     vbuf.Alloc
-	run       func(r *vbuf.Regs) error
-	state     partialState
+	unit      *workerUnit
+	topK      *SortSpec // ORDER BY … LIMIT k pushed into a rows-shaped fragment; nil otherwise
 	cancel    *plugin.Cancel
 	mem       *memGauge
 	sh        *sharedRun
@@ -570,9 +611,18 @@ type FragmentProgram struct {
 }
 
 // CompileFragment compiles one morsel of plan's driving scan, [start, end)
-// in record ordinals, into a fragment program. Compilation forces VecOff —
-// see the package comment — and ignores Env.Sort (ORDER BY / LIMIT belong
-// to the coordinator, after the gather merge).
+// in record ordinals, into a fragment program: the same worker unit, under
+// the same Env.Vectorize, a local morsel clone would be.
+//
+// Env.Sort is honoured only as a top-k pushdown: when it carries a LIMIT k
+// and the root state is rows (bare/collect), the fragment orders its rows
+// by the spec and ships the first k. A row past position k within one
+// morsel can never be among the global first k, and the coordinator still
+// concatenates in morsel order and applies its own stable sort, so the
+// index tiebreak — and with it the result — is unchanged. ORDER BY without
+// LIMIT is not pushed down (every row ships anyway; sorting twice buys
+// nothing), and neither is one above an aggregate (its keys are computed
+// from merged groups, which no single fragment has).
 func CompileFragment(plan algebra.Node, env *Env, start, end int64) (*FragmentProgram, error) {
 	drive := drivingScan(plan)
 	if drive == nil {
@@ -588,52 +638,22 @@ func CompileFragment(plan algebra.Node, env *Env, start, end int64) (*FragmentPr
 			start, end, drive.Dataset, rows)
 	}
 	envCopy := *env
-	envCopy.Vectorize = VecOff
-	envCopy.Sort = nil
+	if envCopy.Sort != nil && envCopy.Sort.Limit <= 0 {
+		envCopy.Sort = nil
+	}
 	envCopy.Profile = nil
 	morsel := plugin.Morsel{Start: start, End: end}
 	sh := newSharedRun(1)
-	cancel := &plugin.Cancel{}
-	var gauge *memGauge
-	if env.MemBudget > 0 {
-		gauge = &memGauge{budget: env.MemBudget}
-	}
 	c := &Compiler{
-		env:       &envCopy,
-		bindings:  map[string]*binding{},
-		envTypes:  expr.Env{},
-		driveScan: drive,
-		morsel:    &morsel,
-		shared:    sh,
-		workerID:  0,
-		cancel:    cancel,
-		mem:       gauge,
+		env: &envCopy, driveScan: drive, morsel: &morsel, shared: sh,
+		cancel: &plugin.Cancel{}, mem: newMemGauge(env.MemBudget),
 	}
-	algebra.Walk(plan, func(n algebra.Node) bool {
-		for name, t := range n.Bindings() {
-			if _, exists := c.envTypes[name]; !exists {
-				c.envTypes[name] = t
-			}
-		}
-		return true
-	})
-	c.analyze(plan)
-
-	var run func(r *vbuf.Regs) error
-	var st partialState
-	switch root := plan.(type) {
-	case *algebra.Reduce:
-		run, st, err = c.compileReducePartial(root)
-	case *algebra.Nest:
-		run, st, err = c.compileNestPartial(root)
-	default:
-		run, st, err = c.compileBarePartial(plan)
-	}
+	u, err := c.compileUnit(plan)
 	if err != nil {
 		return nil, err
 	}
 	return &FragmentProgram{
-		alloc: c.alloc, run: run, state: st, cancel: cancel, mem: gauge,
+		unit: u, topK: envCopy.Sort, cancel: c.cancel, mem: c.mem,
 		sh: sh, caches: envCopy.Caches, totalRows: rows,
 		Fingerprint: plan.Fingerprint(), Start: start, End: end,
 	}, nil
@@ -665,15 +685,17 @@ func (f *FragmentProgram) RunContext(ctx context.Context) (p *Partial, err error
 		}
 	}()
 	f.sh.reset()
-	f.state.reset()
-	regs := vbuf.NewRegs(&f.alloc)
-	if err := f.run(regs); err != nil {
+	if err := f.unit.exec(); err != nil {
 		return nil, err
 	}
 	if f.caches != nil {
 		f.sh.finishCaches(f.caches, f.totalRows)
 	}
-	return encodePartial(f.state, f.Fingerprint)
+	topK := f.topK
+	if f.unit.sorted {
+		topK = nil // the columnar collect already ordered and cut its rows
+	}
+	return encodePartial(f.unit.state, f.Fingerprint, topK, f.mem)
 }
 
 // merge state ---------------------------------------------------------------
@@ -683,91 +705,69 @@ func (f *FragmentProgram) RunContext(ctx context.Context) (p *Partial, err error
 // distributed query, feed it every fragment's Partial in morsel order, then
 // materialize. MergeState is not safe for concurrent Merge calls.
 type MergeState struct {
-	st      partialState
-	shape   string
-	names   []string
-	fp      string
-	numKeys int // general-group shape: GROUP BY arity, checked per wire group
-	merged  int
+	st partialState
+	// want is the frame an empty fragment of this plan sends: the shape,
+	// columns, fingerprint and widths every real frame must repeat.
+	want *Partial
+	// aggTypes are the partial types of the plan's accumulators, checked
+	// before a (type-asserting) absorb runs.
+	aggTypes []reflect.Type
 }
 
 // CompileMergeState compiles plan just far enough to own a mergeable root
-// state of the exact concrete type fragments of this plan serialize —
-// the same VecOff forcing on both sides keeps the shapes (including the
-// single-int group fast path, which sorts keys at materialization) in
-// lock-step. The compiled scan closures are discarded; only the state and
-// its accumulator constructors are kept.
+// state. It always compiles the tuple-typed state (Vectorize forced off):
+// frames are mode-independent, so one decoder serves whatever style the
+// workers ran, and merging is a vanishing share of a distributed query. The
+// compiled scan closures are discarded; only the state and its accumulator
+// constructors are kept.
 func CompileMergeState(plan algebra.Node, env *Env) (*MergeState, error) {
 	envCopy := *env
 	envCopy.Vectorize = VecOff
 	envCopy.Sort = nil
 	envCopy.Profile = nil
 	envCopy.Metrics = nil
-	c := &Compiler{
-		env:      &envCopy,
-		bindings: map[string]*binding{},
-		envTypes: expr.Env{},
-		cancel:   &plugin.Cancel{},
-	}
-	if envCopy.MemBudget > 0 {
-		c.mem = &memGauge{budget: envCopy.MemBudget}
-	}
-	algebra.Walk(plan, func(n algebra.Node) bool {
-		for name, t := range n.Bindings() {
-			if _, exists := c.envTypes[name]; !exists {
-				c.envTypes[name] = t
-			}
-		}
-		return true
-	})
-	c.analyze(plan)
-
-	var st partialState
-	var err error
-	switch root := plan.(type) {
-	case *algebra.Reduce:
-		_, st, err = c.compileReducePartial(root)
-	case *algebra.Nest:
-		_, st, err = c.compileNestPartial(root)
-	default:
-		_, st, err = c.compileBarePartial(plan)
-	}
+	c := &Compiler{env: &envCopy, cancel: &plugin.Cancel{}, mem: newMemGauge(envCopy.MemBudget)}
+	u, err := c.compileUnit(plan)
 	if err != nil {
 		return nil, err
 	}
-	st.reset()
-	m := &MergeState{st: st, shape: shapeOf(st), names: stateNames(st), fp: plan.Fingerprint()}
-	if nest, ok := plan.(*algebra.Nest); ok {
-		m.numKeys = len(nest.GroupBy)
+	u.state.reset()
+	want, err := encodePartial(u.state, plan.Fingerprint(), nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	protos := want.Aggs
+	if nest, ok := u.state.(*nestPartial); ok {
+		protos = partsOf(nest.freshAccs(), accPart)
+	}
+	if _, err := appendAggs(nil, protos); err != nil {
+		return nil, err
+	}
+	m := &MergeState{st: u.state, want: want}
+	for _, part := range protos {
+		m.aggTypes = append(m.aggTypes, reflect.TypeOf(part))
 	}
 	return m, nil
 }
 
-// Shape returns the wire shape fragments of this plan must carry.
-func (m *MergeState) Shape() string { return m.shape }
-
 // Fingerprint returns the plan fingerprint fragments must echo.
-func (m *MergeState) Fingerprint() string { return m.fp }
-
-// Merged returns how many fragment frames have been folded in.
-func (m *MergeState) Merged() int { return m.merged }
+func (m *MergeState) Fingerprint() string { return m.want.Fingerprint }
 
 // validate cross-checks one frame against the compiled plan before any of
 // it is decoded into accumulators.
 func (m *MergeState) validate(p *Partial) error {
-	if p.Fingerprint != "" && p.Fingerprint != m.fp {
-		return fmt.Errorf("exec: fragment plan fingerprint %s does not match coordinator plan %s", p.Fingerprint, m.fp)
+	w := m.want
+	if p.Fingerprint != "" && p.Fingerprint != w.Fingerprint {
+		return fmt.Errorf("exec: fragment plan fingerprint %s does not match coordinator plan %s", p.Fingerprint, w.Fingerprint)
 	}
-	if p.Shape != m.shape {
-		return fmt.Errorf("exec: fragment shape %q does not match plan shape %q", p.Shape, m.shape)
+	if p.Shape != w.Shape {
+		return fmt.Errorf("exec: fragment shape %q does not match plan shape %q", p.Shape, w.Shape)
 	}
-	if len(p.Names) != len(m.names) {
-		return fmt.Errorf("exec: fragment columns %v do not match plan columns %v", p.Names, m.names)
+	if !slices.Equal(p.Names, w.Names) {
+		return fmt.Errorf("exec: fragment columns %v do not match plan columns %v", p.Names, w.Names)
 	}
-	for i, n := range p.Names {
-		if n != m.names[i] {
-			return fmt.Errorf("exec: fragment columns %v do not match plan columns %v", p.Names, m.names)
-		}
+	if p.NumKeys != w.NumKeys {
+		return fmt.Errorf("exec: fragment groups by %d keys, plan by %d", p.NumKeys, w.NumKeys)
 	}
 	return nil
 }
@@ -784,11 +784,21 @@ func (m *MergeState) Merge(p *Partial) error {
 	if err != nil {
 		return err
 	}
-	if err := m.st.merge(other); err != nil {
-		return err
+	return m.st.merge(other)
+}
+
+// absorb folds one wire accumulator set into freshly constructed accs.
+func (m *MergeState) absorb(accs []*accumulator, parts []any) ([]*accumulator, error) {
+	if len(parts) != len(accs) {
+		return nil, fmt.Errorf("exec: fragment carries %d aggregates, plan has %d", len(parts), len(accs))
 	}
-	m.merged++
-	return nil
+	for i, part := range parts {
+		if reflect.TypeOf(part) != m.aggTypes[i] {
+			return nil, fmt.Errorf("exec: fragment aggregate %d is a %T, plan has %s", i, part, m.aggTypes[i])
+		}
+		accs[i].absorb(part)
+	}
+	return accs, nil
 }
 
 // decode materializes a frame as a partialState of the same concrete type
@@ -796,34 +806,17 @@ func (m *MergeState) Merge(p *Partial) error {
 func (m *MergeState) decode(p *Partial) (partialState, error) {
 	switch st := m.st.(type) {
 	case *barePartial:
-		rows, err := decodeValues(p.Rows)
-		if err != nil {
-			return nil, err
-		}
-		return &barePartial{names: st.names, rows: rows}, nil
+		return &barePartial{names: st.names, rows: p.Rows}, nil
 	case *reducePartial:
 		if st.collect {
-			rows, err := decodeValues(p.Rows)
-			if err != nil {
-				return nil, err
-			}
-			return &reducePartial{collect: true, names: st.names, rows: rows}, nil
+			return &reducePartial{collect: true, names: st.names, rows: p.Rows}, nil
 		}
-		if !p.hasAggs {
-			return nil, fmt.Errorf("exec: aggregate fragment carries no aggregate set")
+		accs := make([]*accumulator, len(st.accs))
+		for i, a := range st.accs {
+			accs[i] = a.fresh()
 		}
-		freshAccs := func() []*accumulator {
-			accs := make([]*accumulator, len(st.accs))
-			for i, a := range st.accs {
-				accs[i] = a.fresh()
-			}
-			return accs
-		}
-		accs, err := decodeAccs(freshAccs, p.Aggs)
-		if err != nil {
-			return nil, err
-		}
-		return &reducePartial{names: st.names, accs: accs}, nil
+		accs, err := m.absorb(accs, p.Aggs)
+		return &reducePartial{names: st.names, accs: accs}, err
 	case *nestPartial:
 		return m.decodeNest(st, p)
 	}
@@ -833,64 +826,47 @@ func (m *MergeState) decode(p *Partial) (partialState, error) {
 func (m *MergeState) decodeNest(st *nestPartial, p *Partial) (partialState, error) {
 	other := &nestPartial{
 		outNames:  st.outNames,
+		numKeys:   st.numKeys,
 		freshAccs: st.freshAccs,
 		singleInt: st.singleInt,
 	}
 	other.reset()
-	if st.singleInt {
-		for _, g := range p.Groups {
-			if len(g.Keys) != 1 {
-				return nil, fmt.Errorf("exec: single-int fragment group carries %d keys", len(g.Keys))
-			}
-			accs, err := decodeAccs(st.freshAccs, g.Aggs)
-			if err != nil {
-				return nil, err
-			}
-			switch g.Keys[0].K {
-			case "n":
-				if other.intNull != nil {
-					return nil, fmt.Errorf("exec: fragment carries duplicate NULL group")
-				}
-				other.intNull = accs
-			case "i":
-				k := g.Keys[0].I
-				if _, dup := other.intGroups[k]; dup {
-					return nil, fmt.Errorf("exec: fragment carries duplicate group key %d", k)
-				}
-				other.intGroups[k] = accs
-				other.intOrder = append(other.intOrder, k)
-			default:
-				return nil, fmt.Errorf("exec: single-int fragment group key has kind %q", g.Keys[0].K)
-			}
-		}
-		return other, nil
-	}
 	for _, wg := range p.Groups {
-		if len(wg.Keys) != m.numKeys {
-			return nil, fmt.Errorf("exec: fragment group carries %d keys, plan groups by %d", len(wg.Keys), m.numKeys)
+		if len(wg.Keys) != st.numKeys {
+			return nil, fmt.Errorf("exec: fragment group carries %d keys, plan groups by %d", len(wg.Keys), st.numKeys)
 		}
-		keyVals, err := decodeValues(wg.Keys)
+		accs, err := m.absorb(st.freshAccs(), wg.Aggs)
 		if err != nil {
 			return nil, err
 		}
-		accs, err := decodeAccs(st.freshAccs, wg.Aggs)
-		if err != nil {
-			return nil, err
-		}
-		// Recompute the group hash exactly as the fold path does so merge's
-		// hash-bucketed key lookup finds cross-fragment matches.
-		h := uint64(14695981039346656037)
-		for _, v := range keyVals {
-			h = hashMix(h, v.Hash())
-		}
-		for _, cand := range other.groups[h] {
-			if len(cand.keyVals) == len(keyVals) && sameKeys(cand.keyVals, keyVals) {
-				return nil, fmt.Errorf("exec: fragment carries duplicate group")
+		if !st.singleInt {
+			// The group hash is recomputed exactly as the fold path computes it,
+			// so merge's hash-bucketed key lookup finds cross-fragment matches.
+			g := &group{hash: hashKeys(wg.Keys), keyVals: wg.Keys, accs: accs}
+			for _, cand := range other.groups[g.hash] {
+				if sameKeys(cand.keyVals, g.keyVals) {
+					return nil, fmt.Errorf("exec: fragment carries duplicate group")
+				}
 			}
+			other.groups[g.hash] = append(other.groups[g.hash], g)
+			other.order = append(other.order, g)
+			continue
 		}
-		g := &group{hash: h, keyVals: keyVals, accs: accs}
-		other.groups[h] = append(other.groups[h], g)
-		other.order = append(other.order, g)
+		switch k := wg.Keys[0]; k.Kind {
+		case types.KindNull:
+			if other.intNull != nil {
+				return nil, fmt.Errorf("exec: fragment carries duplicate NULL group")
+			}
+			other.intNull = accs
+		case types.KindInt:
+			if _, dup := other.intGroups[k.I]; dup {
+				return nil, fmt.Errorf("exec: fragment carries duplicate group key %d", k.I)
+			}
+			other.intGroups[k.I] = accs
+			other.intOrder = append(other.intOrder, k.I)
+		default:
+			return nil, fmt.Errorf("exec: single-int fragment group key has kind %s", k.Kind)
+		}
 	}
 	return other, nil
 }

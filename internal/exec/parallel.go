@@ -156,11 +156,80 @@ func drivingScan(n algebra.Node) *algebra.Scan {
 	return nil
 }
 
-// workerUnit is one compiled pipeline clone.
+// workerUnit is one compiled pipeline clone: a driver that runs the plan's
+// scan → … → pipeline-breaker chain over the compiler's morsel (the whole
+// scan when it has none) and the thread-local root state the driver folds
+// into. It is the one unit every execution style is assembled from: the
+// serial program holds one, CompileParallel one per morsel, a remote
+// fragment one restricted to its morsel range, and the gather merge one
+// whose driver is never run.
 type workerUnit struct {
 	alloc vbuf.Alloc
 	run   func(r *vbuf.Regs) error
 	state partialState
+	// Compile-time facts of this clone (see Program's fields of the same names).
+	explain            []string
+	vectorized, sorted bool
+}
+
+// compileUnit compiles plan into one worker unit. The receiver carries only
+// the compilation context — env, and for morsel clones driveScan, morsel,
+// shared, workerID, prof, cancel and mem; everything else is set up here.
+// The root operator picks its state: Reduce and Nest try their batch kernels
+// first and fall back to the tuple closures where the pipeline below is not
+// batch-capable (a static property of plan, catalog and Env.Vectorize), so
+// every clone of one plan under one Env makes the same choice.
+func (c *Compiler) compileUnit(plan algebra.Node) (*workerUnit, error) {
+	c.bindings = map[string]*binding{}
+	c.envTypes = expr.Env{}
+	// Seed the type environment with every binding the plan introduces so
+	// expression compilation can infer types anywhere in the tree.
+	algebra.Walk(plan, func(n algebra.Node) bool {
+		for name, t := range n.Bindings() {
+			if _, exists := c.envTypes[name]; !exists {
+				c.envTypes[name] = t
+			}
+		}
+		return true
+	})
+	c.analyze(plan)
+
+	var run func(r *vbuf.Regs) error
+	var st partialState
+	var err error
+	switch root := plan.(type) {
+	case *algebra.Reduce:
+		run, st, err = c.compileReducePartial(root)
+	case *algebra.Nest:
+		run, st, err = c.compileNestPartial(root)
+	default:
+		// A bare plan (no Reduce/Nest root) yields its tuples as records of
+		// all visible bindings — used by tests and EXPLAIN-style tooling.
+		run, st, err = c.compileBarePartial(plan)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &workerUnit{
+		alloc: c.alloc, run: run, state: st,
+		explain: c.explain, vectorized: c.vectorized, sorted: c.sorted,
+	}, nil
+}
+
+// exec re-arms the unit's state and drives its pipeline to the breaker over
+// a fresh register file.
+func (u *workerUnit) exec() error {
+	u.state.reset()
+	return u.run(vbuf.NewRegs(&u.alloc))
+}
+
+// newMemGauge returns the accountant for a budget, nil (accounting compiled
+// out) when there is none.
+func newMemGauge(budget int64) *memGauge {
+	if budget <= 0 {
+		return nil
+	}
+	return &memGauge{budget: budget}
 }
 
 // CompileParallel compiles plan into a morsel-parallel program over at most
@@ -201,61 +270,26 @@ func CompileParallel(plan algebra.Node, env *Env, workers int) (*Program, error)
 	// from any worker (or the context) stops every sibling's scan driver, and
 	// charges from all clones count against the same budget.
 	cancel := &plugin.Cancel{}
-	var gauge *memGauge
-	if env.MemBudget > 0 {
-		gauge = &memGauge{budget: env.MemBudget}
-	}
+	gauge := newMemGauge(env.MemBudget)
 	// All pipeline clones share one profiling state; each writes the cells
 	// indexed by its worker ID.
 	var prof *progProf
 	if env.Profile != nil {
 		prof = newProgProf(plan, env.Profile, len(morsels))
 	}
-	var explain []string
 	var vectorized, sorted bool
 	for i := range morsels {
 		c := &Compiler{
-			env:       env,
-			bindings:  map[string]*binding{},
-			envTypes:  expr.Env{},
-			driveScan: drive,
-			morsel:    &morsels[i],
-			shared:    sh,
-			workerID:  i,
-			prof:      prof,
-			cancel:    cancel,
-			mem:       gauge,
+			env: env, driveScan: drive, morsel: &morsels[i], shared: sh,
+			workerID: i, prof: prof, cancel: cancel, mem: gauge,
 		}
-		algebra.Walk(plan, func(n algebra.Node) bool {
-			for name, t := range n.Bindings() {
-				if _, exists := c.envTypes[name]; !exists {
-					c.envTypes[name] = t
-				}
-			}
-			return true
-		})
-		c.analyze(plan)
-
-		var run func(r *vbuf.Regs) error
-		var st partialState
-		switch root := plan.(type) {
-		case *algebra.Reduce:
-			run, st, err = c.compileReducePartial(root)
-		case *algebra.Nest:
-			run, st, err = c.compileNestPartial(root)
-		default:
-			run, st, err = c.compileBarePartial(plan)
-		}
-		if err != nil {
+		if units[i], err = c.compileUnit(plan); err != nil {
 			return nil, err
 		}
-		units[i] = &workerUnit{alloc: c.alloc, run: run, state: st}
-		vectorized = vectorized || c.vectorized
-		sorted = sorted || c.sorted
-		if i == 0 {
-			explain = c.explain
-		}
+		vectorized = vectorized || units[i].vectorized
+		sorted = sorted || units[i].sorted
 	}
+	explain := units[0].explain
 	explain = append(explain,
 		fmt.Sprintf("parallel: %d workers over %s (%d morsels)", len(morsels), drive.Dataset, len(morsels)))
 
@@ -292,9 +326,7 @@ func CompileParallel(plan algebra.Node, env *Env, workers int) (*Program, error)
 					}
 				}()
 				t0 := time.Now()
-				u.state.reset()
-				regs := vbuf.NewRegs(&u.alloc)
-				if errs[i] = u.run(regs); errs[i] != nil {
+				if errs[i] = u.exec(); errs[i] != nil {
 					cancel.Signal(errs[i])
 				}
 				if spans != nil {

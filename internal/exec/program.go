@@ -243,49 +243,25 @@ func (p *Program) WrapResult(fn func(*Result) (*Result, error)) {
 // specialized program: the paper's code-generation step, with closures
 // standing in for LLVM IR (§5.1).
 func Compile(plan algebra.Node, env *Env) (*Program, error) {
-	c := &Compiler{
-		env:      env,
-		bindings: map[string]*binding{},
-		envTypes: expr.Env{},
-		cancel:   &plugin.Cancel{},
-	}
-	if env.MemBudget > 0 {
-		c.mem = &memGauge{budget: env.MemBudget}
-	}
+	c := &Compiler{env: env, cancel: &plugin.Cancel{}, mem: newMemGauge(env.MemBudget)}
 	if env.Profile != nil {
 		c.prof = newProgProf(plan, env.Profile, 1)
 	}
-	// Seed the type environment with every binding the plan introduces so
-	// expression compilation can infer types anywhere in the tree.
-	algebra.Walk(plan, func(n algebra.Node) bool {
-		for name, t := range n.Bindings() {
-			if _, exists := c.envTypes[name]; !exists {
-				c.envTypes[name] = t
-			}
-		}
-		return true
-	})
-	c.analyze(plan)
-
-	var run func(r *vbuf.Regs) (*Result, error)
-	var err error
-	switch root := plan.(type) {
-	case *algebra.Reduce:
-		run, err = c.compileReduce(root)
-	case *algebra.Nest:
-		run, err = c.compileNest(root)
-	default:
-		// A bare plan (no Reduce/Nest root) yields its tuples as records of
-		// all visible bindings — used by tests and EXPLAIN-style tooling.
-		run, err = c.compileBare(plan)
-	}
+	u, err := c.compileUnit(plan)
 	if err != nil {
 		return nil, err
 	}
+	run := func(r *vbuf.Regs) (*Result, error) {
+		u.state.reset()
+		if err := u.run(r); err != nil {
+			return nil, err
+		}
+		return u.state.result()
+	}
 	p := &Program{
-		alloc: c.alloc, run: run, Explain: c.explain, Workers: 1, Morsels: 1,
+		alloc: u.alloc, run: run, Explain: u.explain, Workers: 1, Morsels: 1,
 		Fingerprint: plan.Fingerprint(), cancel: c.cancel, mem: c.mem,
-		Vectorized: c.vectorized, Sorted: c.sorted,
+		Vectorized: u.vectorized, Sorted: u.sorted,
 	}
 	p.attachProf(c.prof)
 	return p, nil
@@ -409,22 +385,6 @@ func (c *Compiler) compileBarePartial(plan algebra.Node) (func(r *vbuf.Regs) err
 		return nil, nil, err
 	}
 	return run, st, nil
-}
-
-// compileBare materializes each produced tuple as a record of the plan's
-// visible bindings.
-func (c *Compiler) compileBare(plan algebra.Node) (func(r *vbuf.Regs) (*Result, error), error) {
-	run, st, err := c.compileBarePartial(plan)
-	if err != nil {
-		return nil, err
-	}
-	return func(r *vbuf.Regs) (*Result, error) {
-		st.reset()
-		if err := run(r); err != nil {
-			return nil, err
-		}
-		return st.result()
-	}, nil
 }
 
 // helpers -------------------------------------------------------------------

@@ -50,13 +50,17 @@ type Metrics struct {
 	// SlowQueries counts queries recorded by the slow-query log.
 	SlowQueries atomic.Int64
 
-	// Cluster scatter/gather (internal/cluster). The first six count on the
-	// coordinator; FragmentsServed counts on workers.
-	ClusterQueries         atomic.Int64 // queries executed via scatter/gather
-	ClusterFragments       atomic.Int64 // fragment partials merged into results
-	ClusterRetries         atomic.Int64 // fragment attempts retried on another worker
-	ClusterHedges          atomic.Int64 // hedged (speculative duplicate) fragment attempts
-	ClusterFallbacks       atomic.Int64 // eligible queries that fell back to local execution
+	// Cluster scatter/gather (internal/cluster). All but the last count on
+	// the coordinator; FragmentsServed counts on workers.
+	ClusterQueries       atomic.Int64 // queries executed via scatter/gather
+	ClusterFragments     atomic.Int64 // fragment partials merged into results
+	ClusterFragmentBytes atomic.Int64 // bytes of the partial-state frames those arrived in
+	ClusterRetries       atomic.Int64 // fragment attempts retried on another worker
+	ClusterHedges        atomic.Int64 // hedged (speculative duplicate) fragment attempts
+	// ClusterFallbacks counts queries a coordinator ran locally instead, one
+	// cell per ClusterFallbackReasons entry; rendered as the labeled
+	// proteus_cluster_fallbacks_total family.
+	ClusterFallbacks       [len(ClusterFallbackReasons)]atomic.Int64
 	ClusterErrors          atomic.Int64 // distributed queries that returned an error
 	ClusterFragmentsServed atomic.Int64 // fragment requests this engine served as a worker
 
@@ -76,6 +80,30 @@ type Metrics struct {
 	// end-to-end, fed once per observed query.
 	PhaseLatency [5]Histogram
 	TotalLatency Histogram
+}
+
+// Why a coordinator answered a query by itself.
+const (
+	FallbackNoWorkers       = "no_workers"      // empty topology
+	FallbackUnpartitionable = "unpartitionable" // no driving scan, or its plug-in cannot split it
+	FallbackSingleMorsel    = "single_morsel"   // the scan splits into fewer than two morsels
+	FallbackStateUncodable  = "state_uncodable" // the root state has no wire form
+	FallbackFPMismatch      = "fp_mismatch"     // a worker planned a different fingerprint (409)
+)
+
+// ClusterFallbackReasons enumerates the reason label of
+// proteus_cluster_fallbacks_total, in ClusterFallbacks cell order.
+var ClusterFallbackReasons = [...]string{
+	FallbackNoWorkers, FallbackUnpartitionable, FallbackSingleMorsel, FallbackStateUncodable, FallbackFPMismatch,
+}
+
+// CountClusterFallback increments one reason's fallback counter.
+func (m *Metrics) CountClusterFallback(reason string) {
+	for i, r := range ClusterFallbackReasons {
+		if r == reason {
+			m.ClusterFallbacks[i].Add(1)
+		}
+	}
 }
 
 // ModeDecisionModes and ModeDecisionSources enumerate the execution-mode
@@ -197,13 +225,17 @@ type Snapshot struct {
 
 	SlowQueries int64 `json:"slow_queries"`
 
-	ClusterQueries         int64 `json:"cluster_queries"`
-	ClusterFragments       int64 `json:"cluster_fragments"`
-	ClusterRetries         int64 `json:"cluster_retries"`
-	ClusterHedges          int64 `json:"cluster_hedges"`
-	ClusterFallbacks       int64 `json:"cluster_fallbacks"`
-	ClusterErrors          int64 `json:"cluster_errors"`
-	ClusterFragmentsServed int64 `json:"cluster_fragments_served"`
+	ClusterQueries       int64 `json:"cluster_queries"`
+	ClusterFragments     int64 `json:"cluster_fragments"`
+	ClusterFragmentBytes int64 `json:"cluster_fragment_bytes"`
+	ClusterRetries       int64 `json:"cluster_retries"`
+	ClusterHedges        int64 `json:"cluster_hedges"`
+	// ClusterFallbacks is the total over ClusterFallbackReasons, which maps
+	// each reason that occurred to its count.
+	ClusterFallbacks       int64            `json:"cluster_fallbacks"`
+	ClusterFallbackReasons map[string]int64 `json:"cluster_fallback_reasons,omitempty"`
+	ClusterErrors          int64            `json:"cluster_errors"`
+	ClusterFragmentsServed int64            `json:"cluster_fragments_served"`
 
 	// ModeDecisions lists the non-zero cells of the execution-mode decision
 	// matrix (adaptive tuple-vs-vectorized selection).
@@ -254,6 +286,17 @@ func summarize(phase string, h *Histogram) LatencySummary {
 // Snapshot captures the current counter values plus externally supplied
 // cache counters.
 func (m *Metrics) Snapshot(cache CacheCounters) Snapshot {
+	var fallbacks int64
+	var fallbackReasons map[string]int64
+	for i, reason := range ClusterFallbackReasons {
+		if n := m.ClusterFallbacks[i].Load(); n > 0 {
+			if fallbackReasons == nil {
+				fallbackReasons = map[string]int64{}
+			}
+			fallbackReasons[reason] = n
+			fallbacks += n
+		}
+	}
 	return Snapshot{
 		Queries:            m.Queries.Load(),
 		Errors:             m.Errors.Load(),
@@ -282,9 +325,11 @@ func (m *Metrics) Snapshot(cache CacheCounters) Snapshot {
 		ClusterFragments:   m.ClusterFragments.Load(),
 		ClusterRetries:     m.ClusterRetries.Load(),
 		ClusterHedges:      m.ClusterHedges.Load(),
-		ClusterFallbacks:   m.ClusterFallbacks.Load(),
+		ClusterFallbacks:   fallbacks,
 		ClusterErrors:      m.ClusterErrors.Load(),
 
+		ClusterFragmentBytes:   m.ClusterFragmentBytes.Load(),
+		ClusterFallbackReasons: fallbackReasons,
 		ClusterFragmentsServed: m.ClusterFragmentsServed.Load(),
 
 		ModeDecisions:   m.modeDecisionCounts(),
@@ -400,9 +445,14 @@ func (s Snapshot) Prometheus() string {
 
 	counter("proteus_cluster_queries_total", "Queries executed via cluster scatter/gather.", fmt.Sprint(s.ClusterQueries))
 	counter("proteus_cluster_fragments_total", "Fragment partials merged into distributed results.", fmt.Sprint(s.ClusterFragments))
+	counter("proteus_cluster_fragment_bytes_total", "Bytes of the partial-state frames merged into distributed results.", fmt.Sprint(s.ClusterFragmentBytes))
 	counter("proteus_cluster_retries_total", "Fragment attempts retried on another worker.", fmt.Sprint(s.ClusterRetries))
 	counter("proteus_cluster_hedges_total", "Hedged (speculative duplicate) fragment attempts.", fmt.Sprint(s.ClusterHedges))
-	counter("proteus_cluster_fallbacks_total", "Cluster-eligible queries that fell back to local execution.", fmt.Sprint(s.ClusterFallbacks))
+	b.WriteString("# HELP proteus_cluster_fallbacks_total Queries a cluster coordinator executed locally instead of scattering, by reason.\n")
+	b.WriteString("# TYPE proteus_cluster_fallbacks_total counter\n")
+	for _, reason := range ClusterFallbackReasons {
+		fmt.Fprintf(&b, "proteus_cluster_fallbacks_total{reason=\"%s\"} %d\n", reason, s.ClusterFallbackReasons[reason])
+	}
 	counter("proteus_cluster_errors_total", "Distributed queries that returned an error.", fmt.Sprint(s.ClusterErrors))
 	counter("proteus_cluster_fragments_served_total", "Fragment requests this engine served as a cluster worker.", fmt.Sprint(s.ClusterFragmentsServed))
 

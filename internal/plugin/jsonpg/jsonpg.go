@@ -47,24 +47,89 @@ func (p *Plugin) Open(env *plugin.Env, ds *plugin.Dataset) error {
 	}
 	if ds.Schema != nil {
 		st.schema = ds.Schema
-	} else if st.nObjs > 0 {
-		v, _, err := parseValue(data, int(st.objStart[0]))
-		if err != nil {
-			return fmt.Errorf("jsonpg: %s: inferring schema: %w", ds.Name, err)
-		}
-		rt, ok := types.TypeOf(v).(*types.RecordType)
-		if !ok {
-			return fmt.Errorf("jsonpg: %s: top-level values are not objects", ds.Name)
-		}
-		st.schema = rt
-	} else {
-		st.schema = &types.RecordType{}
+	} else if st.schema, err = inferSchema(data, st); err != nil {
+		return fmt.Errorf("jsonpg: %s: %w", ds.Name, err)
 	}
 	ds.State = st
 	if ds.Schema == nil {
 		ds.Schema = st.schema
 	}
 	return nil
+}
+
+// schemaSampleObjects is how many leading objects schema inference reads.
+const schemaSampleObjects = 64
+
+// inferSchema types a dataset registered without a schema from its first
+// schemaSampleObjects objects. The first object fixes the field list; later
+// ones only widen field types — a field first seen as null takes the type
+// of its first real value, and an integer-looking number column turns float
+// when a fractional value follows ({"x":1} then {"x":2.5}).
+func inferSchema(data []byte, st *state) (*types.RecordType, error) {
+	schema := &types.RecordType{}
+	for i := int64(0); i < st.nObjs && i < schemaSampleObjects; i++ {
+		v, _, err := parseValue(data, int(st.objStart[i]))
+		if err != nil {
+			return nil, fmt.Errorf("inferring schema: %w", err)
+		}
+		rt, ok := sampleType(v).(*types.RecordType)
+		if !ok {
+			return nil, fmt.Errorf("top-level values are not objects")
+		}
+		if i > 0 {
+			rt = widen(schema, rt).(*types.RecordType)
+		}
+		schema = rt
+	}
+	return schema, nil
+}
+
+// sampleType is types.TypeOf, except that a list's element type is widened
+// over all of its elements instead of read off the first.
+func sampleType(v types.Value) types.Type {
+	switch v.Kind {
+	case types.KindRecord:
+		fields := make([]types.Field, len(v.Rec.Names))
+		for i, n := range v.Rec.Names {
+			fields[i] = types.Field{Name: n, Type: sampleType(v.Rec.Values[i])}
+		}
+		return &types.RecordType{Fields: fields}
+	case types.KindList:
+		var elem types.Type = types.Null
+		for _, e := range v.Elems {
+			elem = widen(elem, sampleType(e))
+		}
+		return types.NewListType(elem)
+	}
+	return types.TypeOf(v)
+}
+
+// widen merges a later sample's type b into the type a seen so far: null
+// yields to anything, int to float, records and lists recurse (over a's
+// fields). Types that do not reconcile keep the earlier one.
+func widen(a, b types.Type) types.Type {
+	switch {
+	case a.Kind() == types.KindNull:
+		return b
+	case types.Numeric(a) && types.Numeric(b):
+		return types.Promote(a, b)
+	case a.Kind() != b.Kind():
+		return a
+	}
+	switch at := a.(type) {
+	case *types.RecordType:
+		fields := make([]types.Field, len(at.Fields))
+		for i, f := range at.Fields {
+			if bt, ok := b.(*types.RecordType).Lookup(f.Name); ok {
+				f.Type = widen(f.Type, bt)
+			}
+			fields[i] = f
+		}
+		return &types.RecordType{Fields: fields}
+	case *types.ListType:
+		return types.NewListType(widen(at.Elem, b.(*types.ListType).Elem))
+	}
+	return a
 }
 
 // Schema implements plugin.Input.

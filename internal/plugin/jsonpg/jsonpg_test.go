@@ -315,3 +315,40 @@ func TestSchemaInference(t *testing.T) {
 		}
 	}
 }
+
+// TestSchemaInferenceWidens: the schema of an undeclared dataset comes from
+// its leading objects, not the first alone — a number column that starts
+// integral and turns fractional is Float (and scans as floats from the first
+// row on), a field that starts null takes its first real type, nested
+// records and list elements widen the same way, and past the sample window
+// nothing changes the schema any more.
+func TestSchemaInferenceWidens(t *testing.T) {
+	var data strings.Builder
+	data.WriteString(`{"x": 1, "n": null, "i": 7, "rec": {"a": null, "b": 1}, "arr": [1, 2.5], "late": 1, "s": null}` + "\n")
+	data.WriteString(`{"x": 2.5, "n": "text", "i": 8, "rec": {"a": 3, "b": 0.5}, "arr": [], "late": 2, "s": null}` + "\n")
+	for i := 2; i < schemaSampleObjects; i++ {
+		data.WriteString(`{"x": 3, "n": null, "i": 9, "rec": {"a": 4, "b": 2}, "arr": [4], "late": 3, "s": null}` + "\n")
+	}
+	data.WriteString(`{"x": 4, "n": "t", "i": 1.5, "rec": {"a": 5, "b": 3}, "arr": [5], "late": 0.5, "s": "too late"}` + "\n")
+	p, ds, _ := openJSON(t, data.String(), plugin.Options{})
+	schema := p.Schema(ds)
+	want := "record(x: float, n: string, i: int, rec: record(a: int, b: float), arr: list(float), late: int, s: null)"
+	if schema.String() != want {
+		t.Fatalf("inferred schema\n  %s\nwant\n  %s", schema, want)
+	}
+	xs := scanField(t, p, ds, "x", types.Float)
+	if len(xs) != schemaSampleObjects+1 || xs[0].Kind != types.KindFloat || xs[0].F != 1 || xs[1].F != 2.5 {
+		t.Errorf("x scans as %v %v … (%d rows)", xs[0], xs[1], len(xs))
+	}
+	// An explicit schema is still taken as given.
+	mem := storage.NewManager(0)
+	mem.PutFile("mem://t.json", []byte(`{"x": 1}`+"\n"+`{"x": 2.5}`+"\n"))
+	declared := &plugin.Dataset{Name: "t", Path: "mem://t.json", Format: "json",
+		Schema: types.NewRecordType(types.Field{Name: "x", Type: types.Int})}
+	if err := New().Open(&plugin.Env{Mem: mem, Stats: stats.NewStore()}, declared); err != nil {
+		t.Fatal(err)
+	}
+	if got := New().Schema(declared).String(); got != "record(x: int)" {
+		t.Errorf("declared schema became %s", got)
+	}
+}

@@ -110,8 +110,8 @@ func registerTables(e *engine.Engine, u *universe) error {
 		path := fmt.Sprintf("mem://qcheck/%s.%s", t.Name, t.Format)
 		e.Mem().PutFile(path, t.Data)
 		schema := t.Schema
-		if t.Format == "bin" {
-			schema = nil // self-describing
+		if t.Format == "bin" || inferable(t) {
+			schema = nil // self-describing, or left to the plug-in's inference
 		}
 		if err := e.Register(t.Name, path, t.Format, schema, t.Opts); err != nil {
 			return fmt.Errorf("register %s: %w", t.Name, err)
@@ -141,8 +141,12 @@ func buildRunner(c engConfig, u *universe) (*engineRunner, error) {
 	urls := make([]string, 0, c.workers)
 	for i := 0; i < c.workers; i++ {
 		// Workers register the identical universe so their locally re-planned
-		// fragments carry the coordinator's plan fingerprint.
-		db := proteus.Open(proteus.Config{Parallelism: 1, PlanCacheSize: -1})
+		// fragments carry the coordinator's plan fingerprint. Their execution
+		// modes differ on purpose: partial states are mode-independent on the
+		// wire, so one query's fragments may be batch kernels on one worker
+		// and tuple closures on the next.
+		mode := []proteus.VecMode{proteus.VectorizedOn, proteus.VectorizedOff, proteus.VectorizedAuto}[i%3]
+		db := proteus.Open(proteus.Config{Parallelism: 1, PlanCacheSize: -1, Vectorized: mode})
 		if err := registerTables(db.Engine(), u); err != nil {
 			closeAll()
 			return nil, fmt.Errorf("cluster worker %d: %w", i, err)

@@ -17,7 +17,9 @@
 //     lexer has no escape syntax).
 //
 // CSV and binary tables are never nullable (the formats cannot represent
-// NULL); JSON tables are, per column, with varying probability.
+// NULL); JSON tables are, per column, with varying probability. A JSON table
+// whose rows determine its schema is registered without one (inferable), so
+// the plug-in's inference is under the same differential test.
 package qcheck
 
 import (
@@ -47,6 +49,10 @@ type qColumn struct {
 	Key      bool    // small domain; safe as join/group key
 	NullProb float64 // JSON tables only; 1.0 makes the column all-NULL
 	Const    bool    // every row holds the same value (degenerate zone maps)
+	// Bare marks the JSON float column written the way JSON in the wild
+	// writes numbers — 7, not 7.0 — whose first row is integral and whose
+	// second is fractional: typing it from the first object alone reads Int.
+	Bare bool
 }
 
 // nestedCol is the optional nested list-of-records column of a JSON table.
@@ -244,8 +250,11 @@ func genTable(r *rand.Rand, name, format string) *qTable {
 		}
 		t.Cols = append(t.Cols, c)
 	}
-	if format == "json" && r.Intn(2) == 0 {
-		t.Nested = &nestedCol{Name: "items"}
+	if format == "json" {
+		t.Cols = append(t.Cols, qColumn{Name: "vw", Kind: types.KindFloat, Bare: true})
+		if r.Intn(2) == 0 {
+			t.Nested = &nestedCol{Name: "items"}
+		}
 	}
 
 	// Format quirks.
@@ -290,6 +299,10 @@ func genTable(r *rand.Rand, name, format string) *qTable {
 				vals = append(vals, types.NullValue())
 				continue
 			}
+			if c.Bare && i < 2 {
+				vals = append(vals, types.FloatValue(float64(r.Intn(65)-32)+0.5*float64(i)))
+				continue
+			}
 			vals = append(vals, genValue(r, c))
 		}
 		if t.Nested != nil {
@@ -308,4 +321,33 @@ func genTable(r *rand.Rand, name, format string) *qTable {
 		t.Rows = append(t.Rows, types.RecordValue(names, vals))
 	}
 	return t
+}
+
+// inferable reports whether jsonpg's schema inference over the table's rows
+// (it samples more of them than a table here has) arrives at t.Schema: every
+// column shows a non-null value, the bare float column a fractional one, and
+// the nested list an element.
+func inferable(t *qTable) bool {
+	if t.Format != "json" {
+		return false
+	}
+	for _, c := range t.Cols {
+		typed := false
+		for _, row := range t.Rows {
+			v, _ := row.Field(c.Name)
+			typed = typed || (!v.IsNull() && (!c.Bare || v.F != float64(int64(v.F))))
+		}
+		if !typed {
+			return false
+		}
+	}
+	if t.Nested != nil {
+		for _, row := range t.Rows {
+			if v, _ := row.Field(t.Nested.Name); v.Len() > 0 {
+				return true
+			}
+		}
+		return false
+	}
+	return len(t.Rows) > 0
 }

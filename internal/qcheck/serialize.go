@@ -102,6 +102,10 @@ func encodeJSON(t *qTable) []byte {
 	// name hash is even escape all non-ASCII as \uXXXX (surrogate pairs for
 	// astral code points), exercising the parser's escape decoder.
 	asciiOnly := len(t.Rows)%2 == 0
+	bare := map[string]bool{}
+	for _, c := range t.Cols {
+		bare[c.Name] = c.Bare
+	}
 	var buf bytes.Buffer
 	if t.Array {
 		buf.WriteByte('[')
@@ -118,6 +122,10 @@ func encodeJSON(t *qTable) []byte {
 			writeJSONString(&buf, f.Name, asciiOnly)
 			buf.WriteByte(':')
 			v, _ := row.Field(f.Name)
+			if bare[f.Name] && v.Kind == types.KindFloat {
+				buf.WriteString(formatFloat(v.F)) // "7", not "7.0"
+				continue
+			}
 			writeJSONValue(&buf, v, asciiOnly)
 		}
 		buf.WriteByte('}')

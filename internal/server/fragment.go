@@ -26,9 +26,9 @@ type fragmentRequest struct {
 	Fingerprint string `json:"fingerprint"`
 }
 
-// handleFragment executes one fragment plan as a cluster worker and streams
-// the serialized partial state back as NDJSON (head, unit lines, verified
-// trailer — see exec.Partial.EncodeStream). A plan-fingerprint divergence
+// handleFragment executes one fragment plan as a cluster worker and answers
+// with the partial state as one binary frame (exec.Partial.EncodeStream; the
+// layout is in exec/fragment.go). A plan-fingerprint divergence
 // returns 409 Conflict, which tells the coordinator to fall back to local
 // execution; every other failure maps through the same statusOf the query
 // endpoint uses.
@@ -68,12 +68,13 @@ func (s *Server) handleFragment(w http.ResponseWriter, r *http.Request) {
 		obs.WriteJSONError(w, statusOf(err), err.Error())
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
-	// EncodeStream's trailer is the integrity signal: if the connection
+	// The frame's end marker is the integrity signal: if the connection
 	// drops mid-write, the coordinator sees a truncated frame and treats
-	// the attempt as failed — never as data.
-	p.EncodeStream(w)
+	// the attempt as failed — never as data. A write error here is that
+	// same dropped connection, so there is nobody left to report it to.
+	_ = p.EncodeStream(w)
 }
 
 // clusterJoinRequest is the POST /v1/cluster/join body: the advertised base

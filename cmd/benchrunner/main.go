@@ -28,14 +28,12 @@ func main() {
 	jsonOut := flag.String("json", "", "write a machine-readable report to this path (empty: no report)")
 	iters := flag.Int("iters", 5, "runs per query for phase-split and overhead medians")
 	obsBudget := flag.Float64("obs-budget", 0, "fail (exit 1) if the obs experiment's overhead ratio exceeds this (0 = report only)")
-	vec2Tolerance := flag.Float64("vec2-tolerance", 0, "fail (exit 1) if vec2 adaptive mode exceeds this multiple of the best static mode on any query (0 = report only)")
 	flag.Parse()
 
 	want := func(name string) bool { return *exp == "all" || *exp == name }
 	var allRows []bench.Row
 	var phaseRows []bench.PhaseRow
 	obsOverhead := 0.0
-	var vec2Rows []bench.Row
 
 	tpchFigs := []struct {
 		name  string
@@ -121,14 +119,13 @@ func main() {
 	}
 
 	if want("vec2") {
-		fmt.Println("vectorized joins / ORDER BY / string predicates + adaptive mode sweep ...")
+		fmt.Println("vectorized joins / ORDER BY / string predicates sweep ...")
 		rows, err := bench.FigVec2(*iters)
 		if err != nil {
 			fatal(fmt.Errorf("vec2: %w", err))
 		}
 		bench.PrintVec2(os.Stdout, rows)
 		allRows = append(allRows, rows...)
-		vec2Rows = rows
 	}
 
 	if want("idx") {
@@ -173,15 +170,10 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *jsonOut)
 	}
-	// The budget gates run last so the JSON artifact is written even on a
+	// The budget gate runs last so the JSON artifact is written even on a
 	// failing run (CI keeps the evidence).
 	if *obsBudget > 0 && obsOverhead > *obsBudget {
 		fatal(fmt.Errorf("obs: overhead ratio %.3f exceeds budget %.2f", obsOverhead, *obsBudget))
-	}
-	if *vec2Tolerance > 0 && len(vec2Rows) > 0 {
-		if err := bench.Vec2Gate(vec2Rows, *vec2Tolerance); err != nil {
-			fatal(err)
-		}
 	}
 }
 

@@ -397,6 +397,41 @@ func TestFallbackReasonsAndWireVolume(t *testing.T) {
 	}
 }
 
+// TestObservedScatterProfileIsFresh: a coordinator's traced programs are
+// plan-cached like untraced ones. A statement first answered locally (no
+// workers yet) leaves an operator tree in its cached profiled program; once
+// workers join, the same cached statement scatters, and its profile must
+// carry the fragments and their spans — not that stale local tree.
+func TestObservedScatterProfileIsFresh(t *testing.T) {
+	coordinator := cluster.New(cluster.Config{})
+	coord := engine.New(engine.Config{Parallelism: 1, Observability: true, Cluster: coordinator})
+	registerData(t, coord)
+	if _, err := coord.QuerySQL(groupQuery); err != nil {
+		t.Fatal(err)
+	}
+	if qp := coord.RecentProfiles()[0]; qp.Fragments != 0 || qp.Root == nil {
+		t.Fatalf("local run: fragments=%d, operator tree %v", qp.Fragments, qp.Root)
+	}
+	for i := 0; i < 3; i++ {
+		url, _ := newWorker(t)
+		coordinator.AddWorker(url)
+	}
+	checkAgainstLocal(t, newLocal(t), coord, groupQuery)
+	if m := coord.Metrics(); m.PlanCacheHits != 1 {
+		t.Errorf("scattered rerun: plan cache hits = %d, want 1", m.PlanCacheHits)
+	}
+	qp := coord.RecentProfiles()[0]
+	if !qp.PlanCached || qp.Fragments != 3 {
+		t.Errorf("scattered profile: plan_cached=%v fragments=%d, want true/3", qp.PlanCached, qp.Fragments)
+	}
+	if qp.Root != nil {
+		t.Errorf("scattered profile carries the earlier local operator tree:\n%s", obs.RenderProfile(qp))
+	}
+	if len(qp.Phases) != 1 || len(qp.Phases[0].Children) != 3 {
+		t.Errorf("scattered profile phases = %+v, want execute with 3 fragment spans", qp.Phases)
+	}
+}
+
 // TestOrderLimitAcrossMorsels: ORDER BY … LIMIT is cut to the top k on each
 // worker and sorted again by the coordinator; the result must be the local
 // one row for row — with ties straddling morsel boundaries (grp has five

@@ -10,12 +10,8 @@ import (
 	"net/http"
 	"time"
 
-	"proteus/internal/algebra"
-	"proteus/internal/calculus"
-	"proteus/internal/comp"
 	"proteus/internal/exec"
 	"proteus/internal/obs"
-	"proteus/internal/sql"
 )
 
 // Query language tags recorded in profiles.
@@ -24,156 +20,63 @@ const (
 	LangComp = "comp"
 )
 
-// tracer accumulates the phase spans of one query. A nil tracer is valid
-// everywhere (phase returns a no-op), so the untraced path costs nothing.
-type tracer struct {
-	spans []obs.Span
-	spec  *exec.ProfileSpec
-}
-
-// phase opens a named span and returns the closure that seals it. Spans are
-// appended in call order, which is the life-cycle order.
-func (t *tracer) phase(name string) func() {
-	if t == nil {
+// phase opens a life-cycle span on a traced query's profile and returns
+// the closure that seals it. Spans are appended in call order, which is the
+// life-cycle order. On the untraced path (nil profile) both are no-ops.
+func phase(qp *obs.QueryProfile, name string) func() {
+	if qp == nil {
 		return func() {}
 	}
-	i := len(t.spans)
-	t.spans = append(t.spans, obs.Span{Name: name, Start: time.Now()})
-	start := time.Now()
-	return func() { t.spans[i].Dur = time.Since(start) }
+	i := len(qp.Phases)
+	qp.Phases = append(qp.Phases, obs.Span{Name: name, Start: time.Now()})
+	return func() { qp.Phases[i].Dur = time.Since(qp.Phases[i].Start) }
 }
 
 // attachWorkers hangs per-worker spans under the execute span.
-func (t *tracer) attachWorkers(ws []obs.Span) {
-	if t == nil || len(ws) == 0 {
+func attachWorkers(qp *obs.QueryProfile, ws []obs.Span) {
+	for i := range qp.Phases {
+		if qp.Phases[i].Name == obs.PhaseExecute {
+			qp.Phases[i].Children = ws
+		}
+	}
+}
+
+// snapshot copies what one execution left in its program into a traced
+// query's profile. The caller must still hold the program's plan-cache
+// entry: the entry's next run resets these counters. A scattered run never
+// touched the local program, so its profile carries the fragment count and
+// fan-out spans, not an operator tree left by an earlier local run.
+func snapshot(qp *obs.QueryProfile, prog *exec.Program, res *exec.Result, frag []obs.Span, scattered bool) {
+	qp.Workers, qp.Morsels = prog.Workers, prog.Morsels
+	qp.Fingerprint, qp.Vectorized = prog.Fingerprint, prog.Vectorized
+	if scattered {
+		if res != nil {
+			qp.Fragments = res.Fragments
+		}
+		attachWorkers(qp, frag)
 		return
 	}
-	for i := range t.spans {
-		if t.spans[i].Name == obs.PhaseExecute {
-			t.spans[i].Children = ws
-		}
+	if ws := prog.WorkerSpans(); len(ws) > 0 {
+		attachWorkers(qp, ws)
+	} else if ms := prog.MorselSpans(); len(ms) > 0 {
+		// Serial run with sampled morsel events: wrap them in one synthetic
+		// worker span so trace export renders them on a row.
+		span := obs.Span{Name: "worker 0 (serial)", Start: ms[0].Start, Children: ms}
+		last := ms[len(ms)-1]
+		span.Dur = last.Start.Add(last.Dur).Sub(span.Start)
+		attachWorkers(qp, []obs.Span{span})
 	}
+	qp.Root = prog.Profile()
+	qp.Attr.CacheHits = prog.CompileCacheHits()
+	qp.Attr.MemPeakBytes = prog.MemPeak()
 }
 
-// observedQuery runs one query through the fully traced life-cycle:
-// parse → calculus → optimize → compile → execute, with per-operator row
-// counters (plus wall timing when timed — the EXPLAIN ANALYZE mode). The
-// profile is always produced, even on error, and is retained in the ring,
-// flushed into the cumulative metrics, and handed to the OnQueryDone hook.
-func (e *Engine) observedQuery(ctx context.Context, lang, query string, timed bool) (*exec.Result, *obs.QueryProfile, error) {
-	qp := &obs.QueryProfile{
-		ID:      e.queryID.Add(1),
-		Lang:    lang,
-		Query:   query,
-		Tag:     QueryTag(ctx),
-		Start:   time.Now(),
-		Workers: 1,
-		Morsels: 1,
-		Timed:   timed,
-	}
-	e.metrics.ActiveQueries.Add(1)
-	defer e.metrics.ActiveQueries.Add(-1)
-	t0 := time.Now()
-
-	// Morsel-event sampling: timed (EXPLAIN ANALYZE) runs always record
-	// per-morsel spans; ordinary observed queries record them on every Nth
-	// query when Config.TraceMorsels is set, so the default path pays none
-	// of the event cost.
-	events := timed
-	if !events && e.traceMorsels > 0 {
-		events = e.obsSeq.Add(1)%int64(e.traceMorsels) == 0
-	}
-	tr := &tracer{spec: &exec.ProfileSpec{
-		Timing:    timed,
-		Events:    events,
-		Estimates: map[algebra.Node]float64{},
-	}}
-
-	res, err := func() (*exec.Result, error) {
-		var (
-			c   *calculus.Comprehension
-			err error
-		)
-		endParse := tr.phase(obs.PhaseParse)
-		if lang == LangSQL {
-			c, err = sql.Parse(query)
-		} else {
-			c, err = comp.Parse(query)
-		}
-		endParse()
-		if err != nil {
-			return nil, err
-		}
-		p, err := e.prepare(ctx, c, tr)
-		if err != nil {
-			return nil, err
-		}
-		qp.Workers = p.Program.Workers
-		qp.Morsels = p.Program.Morsels
-		qp.Fingerprint = p.Program.Fingerprint
-		qp.Vectorized = p.Program.Vectorized
-		endExec := tr.phase(obs.PhaseExecute)
-		var (
-			res       *exec.Result
-			fragSpans []obs.Span
-			clustered bool
-		)
-		if e.cluster != nil {
-			res, fragSpans, clustered, err = e.clusterExec(ctx, lang, query, p)
-		}
-		if !clustered {
-			res, err = p.Program.RunContext(ctx)
-		}
-		endExec()
-		if clustered {
-			// Distributed run: hang per-fragment fan-out spans under the
-			// execute span where per-worker spans would normally go.
-			if res != nil {
-				qp.Fragments = res.Fragments
-			}
-			tr.attachWorkers(fragSpans)
-		} else if ws := p.Program.WorkerSpans(); len(ws) > 0 {
-			tr.attachWorkers(ws)
-		} else if ms := p.Program.MorselSpans(); len(ms) > 0 {
-			// Serial run with sampled morsel events: wrap them in one
-			// synthetic worker span so trace export renders them on a row.
-			span := obs.Span{Name: "worker 0 (serial)", Start: ms[0].Start, Children: ms}
-			last := ms[len(ms)-1]
-			span.Dur = last.Start.Add(last.Dur).Sub(span.Start)
-			tr.attachWorkers([]obs.Span{span})
-		}
-		qp.Root = p.Program.Profile()
-		qp.Attr.CacheHits = p.Program.CompileCacheHits()
-		qp.Attr.MemPeakBytes = p.Program.MemPeak()
-		return res, err
-	}()
-
-	qp.Total = time.Since(t0)
-	qp.Phases = tr.spans
-	if err != nil {
-		qp.Err = err.Error()
-	} else {
-		qp.Rows = int64(len(res.Rows))
-	}
-	e.flushProfile(qp)
-	return res, qp, err
-}
-
-// flushProfile folds one finished profile into the cumulative metrics,
-// retains it in the ring, and fires the OnQueryDone hook.
+// flushProfile folds a finished traced query's profile into the per-phase
+// metrics and scan totals, fills its attribution, offers it to the
+// slow-query log, retains it in the ring, and fires the OnQueryDone hook.
 func (e *Engine) flushProfile(qp *obs.QueryProfile) {
 	m := e.metrics
-	m.Queries.Add(1)
-	if qp.Err != "" {
-		m.Errors.Add(1)
-	}
-	m.RowsOut.Add(qp.Rows)
-	for _, s := range qp.Phases {
-		m.AddPhase(s.Name, int64(s.Dur))
-	}
-	if qp.Workers > 1 {
-		m.ParallelQueries.Add(1)
-	}
+	m.ObservePhases(qp.Phases)
 	qp.Root.Each(func(op *obs.OpProfile) {
 		m.ScanBytesRead.Add(op.ExtraValue("bytes_read"))
 		m.ScanFieldsParsed.Add(op.ExtraValue("fields_parsed"))
@@ -186,11 +89,9 @@ func (e *Engine) flushProfile(qp *obs.QueryProfile) {
 		qp.Attr.ZoneSkips += op.ExtraValue("zone_skips")
 		qp.Attr.BitmapHits += op.ExtraValue("bitmap_hits")
 	})
-	m.ObserveLatency(qp)
 	if e.slowlog.Offer(qp) {
 		m.SlowQueries.Add(1)
 	}
-	e.feedback.ObserveProfile(qp)
 	e.profiles.Add(qp)
 	if e.onDone != nil {
 		e.onDone(*qp)
@@ -202,24 +103,24 @@ func (e *Engine) flushProfile(qp *obs.QueryProfile) {
 // regardless of Config.Observability. Benchmarks use it to split compile
 // from execute time without the EXPLAIN ANALYZE timing overhead.
 func (e *Engine) ObservedQuerySQL(query string) (*exec.Result, *obs.QueryProfile, error) {
-	return e.observedQuery(context.Background(), LangSQL, query, false)
+	return e.runQuery(context.Background(), LangSQL, query, e.observedLevel())
 }
 
 // ObservedQueryComp is ObservedQuerySQL for comprehension queries.
 func (e *Engine) ObservedQueryComp(query string) (*exec.Result, *obs.QueryProfile, error) {
-	return e.observedQuery(context.Background(), LangComp, query, false)
+	return e.runQuery(context.Background(), LangComp, query, e.observedLevel())
 }
 
 // ExplainAnalyzeSQL executes a SQL statement with full per-operator wall
 // timing and returns its profile alongside the result.
 func (e *Engine) ExplainAnalyzeSQL(query string) (*exec.Result, *obs.QueryProfile, error) {
-	return e.observedQuery(context.Background(), LangSQL, query, true)
+	return e.runQuery(context.Background(), LangSQL, query, profTimed)
 }
 
 // ExplainAnalyzeComp executes a comprehension with full per-operator wall
 // timing and returns its profile alongside the result.
 func (e *Engine) ExplainAnalyzeComp(query string) (*exec.Result, *obs.QueryProfile, error) {
-	return e.observedQuery(context.Background(), LangComp, query, true)
+	return e.runQuery(context.Background(), LangComp, query, profTimed)
 }
 
 // Metrics snapshots the engine's cumulative counters, folding in the cache

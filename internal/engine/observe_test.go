@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"proteus/internal/exec"
 	"proteus/internal/obs"
@@ -367,5 +368,105 @@ func TestMetricsHTTPEndpoint(t *testing.T) {
 	}
 	if len(profs) != 3 {
 		t.Errorf("profiles = %d, want 3", len(profs))
+	}
+}
+
+// TestQueryMetricsIndependentOfTracing: the query counters and the
+// end-to-end latency histogram move for every query, whether or not it is
+// traced — an untraced engine must not report queries=0.
+func TestQueryMetricsIndependentOfTracing(t *testing.T) {
+	configs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"default", Config{}},
+		{"observability", Config{Observability: true}},
+		{"slow-log", Config{SlowQueryThreshold: time.Hour}},
+	}
+	for _, c := range configs {
+		e := newTestEngine(t, c.cfg)
+		for _, q := range []string{
+			"SELECT COUNT(*) FROM nums",
+			"SELECT id FROM nums WHERE id > 2",
+			"SELECT SUM(val) FROM nums",
+		} {
+			if _, err := e.QuerySQL(q); err != nil {
+				t.Fatalf("%s: %s: %v", c.name, q, err)
+			}
+		}
+		if _, err := e.QuerySQL("SELECT COUNT(*) FROM missing_table"); err == nil {
+			t.Fatalf("%s: query over an unknown dataset succeeded", c.name)
+		}
+		m := e.Metrics()
+		var total int64
+		for _, l := range m.Latency {
+			if l.Phase == "total" {
+				total = l.Count
+			}
+		}
+		got := [4]int64{m.Queries, m.Errors, m.RowsOut, total}
+		if want := [4]int64{4, 1, 5, 4}; got != want {
+			t.Errorf("%s: queries/errors/rows_out/total_latency = %v, want %v", c.name, got, want)
+		}
+		if m.ActiveQueries != 0 {
+			t.Errorf("%s: active_queries = %d at rest", c.name, m.ActiveQueries)
+		}
+		if prom := m.Prometheus(); !strings.Contains(prom, `proteus_query_duration_seconds_count{phase="total"} 4`) {
+			t.Errorf("%s: latency histogram did not count every query", c.name)
+		}
+	}
+}
+
+// TestTracedQueriesHitPlanCache: with observability on, or only the slow
+// log armed, a repeated statement is a plan-cache hit. Every profile of the
+// cached profiled program reports its own run — operator rows are one
+// run's, not cumulative — and a hit is marked PlanCached with no front-end
+// spans. EXPLAIN ANALYZE caches its timed program under its own key and
+// keeps reporting per-operator time.
+func TestTracedQueriesHitPlanCache(t *testing.T) {
+	for _, cfg := range []Config{{Observability: true}, {SlowQueryThreshold: time.Hour}} {
+		e := newTestEngine(t, cfg)
+		var profs []*obs.QueryProfile
+		for i := 0; i < 3; i++ {
+			if _, err := e.QuerySQL(joinAggSQL); err != nil {
+				t.Fatal(err)
+			}
+			profs = append(profs, e.RecentProfiles()[0])
+		}
+		if m := e.Metrics(); m.PlanCacheHits != 2 || m.PlanCacheMisses != 1 {
+			t.Fatalf("%+v: plan cache hits=%d misses=%d, want 2/1", cfg, m.PlanCacheHits, m.PlanCacheMisses)
+		}
+		for i, qp := range profs {
+			if scan := findOp(qp.Root, "Scan nums"); scan == nil || scan.Rows != 5 {
+				t.Errorf("run %d: nums scan profile %+v, want 5 rows", i, scan)
+			}
+			if join := findOp(qp.Root, "Join"); join == nil || join.Rows != 3 {
+				t.Errorf("run %d: join profile %+v, want 3 rows", i, join)
+			}
+			wantPhases := len(obs.Phases)
+			if i > 0 {
+				wantPhases = 1
+			}
+			if qp.PlanCached != (i > 0) || len(qp.Phases) != wantPhases {
+				t.Errorf("run %d: plan_cached=%v with %d phases", i, qp.PlanCached, len(qp.Phases))
+			}
+			if qp.Phase(obs.PhaseExecute) <= 0 {
+				t.Errorf("run %d: no execute span", i)
+			}
+		}
+		for i := 0; i < 2; i++ {
+			_, qp, err := e.ExplainAnalyzeSQL(joinAggSQL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var self int64
+			qp.Root.Each(func(op *obs.OpProfile) { self += op.SelfNanos })
+			if !qp.Timed || self <= 0 || qp.PlanCached != (i > 0) {
+				t.Errorf("EXPLAIN ANALYZE run %d: timed=%v self=%dns plan_cached=%v", i, qp.Timed, self, qp.PlanCached)
+			}
+			if scan := findOp(qp.Root, "Scan nums"); scan == nil || scan.Rows != 5 {
+				t.Errorf("EXPLAIN ANALYZE run %d: nums scan profile %+v, want 5 rows", i, scan)
+			}
+		}
 	}
 }

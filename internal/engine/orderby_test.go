@@ -2,6 +2,8 @@ package engine
 
 import (
 	"testing"
+
+	"proteus/internal/exec"
 )
 
 func TestOrderByAscDesc(t *testing.T) {
@@ -77,5 +79,34 @@ func TestLimitWithoutOrder(t *testing.T) {
 	}
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d", len(res.Rows))
+	}
+}
+
+// TestSortedProgramSkipsEngineSort: when the columnar collect absorbed the
+// ORDER BY, the program reports Sorted and still emits exactly the limited,
+// ordered rows.
+func TestSortedProgramSkipsEngineSort(t *testing.T) {
+	e := newVecEngine(t, Config{Parallelism: 1, Vectorized: exec.VecOn})
+	p, err := e.PrepareSQL("SELECT id, name FROM big WHERE val < 50 ORDER BY id DESC LIMIT 5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.Program.Sorted {
+		t.Fatalf("columnar collect did not absorb the ORDER BY:\n%s", p.Explain())
+	}
+	res, err := p.Program.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 5 {
+		t.Fatalf("got %d rows, want 5", len(res.Rows))
+	}
+	prev := int64(1 << 62)
+	for _, row := range res.Rows {
+		v, _ := row.Field("id")
+		if v.AsInt() > prev {
+			t.Fatalf("rows not descending: %v", res.Rows)
+		}
+		prev = v.AsInt()
 	}
 }

@@ -7,9 +7,10 @@ import (
 )
 
 // planCache memoizes compiled queries so a repeated statement skips the
-// whole life-cycle tail (parse → calculus → optimize → compile) and jumps
-// straight to its specialized program. Entries are keyed by language plus
-// whitespace-normalized query text and stamped with the catalog and cache
+// whole front end (parse → calculus → optimize → compile) and jumps
+// straight to its specialized program. Entries are keyed by profile level,
+// language and whitespace-normalized query text — a traced program is
+// cached beside the untraced one, never instead of it — and stamped with the catalog and cache
 // epochs observed at compile time: any catalog change (register/drop/plug-in)
 // or cache-content change (block registered or evicted) silently invalidates
 // affected entries, because the compiled program may bake in dataset
@@ -35,18 +36,23 @@ type planEntry struct {
 	lastUsed     uint64
 }
 
-// release hands the entry back after its program finished running.
-func (en *planEntry) release() { en.mu.Unlock() }
+// release hands the entry back after its program finished running; a nil
+// entry (plan caching off) is a no-op.
+func (en *planEntry) release() {
+	if en != nil {
+		en.mu.Unlock()
+	}
+}
 
 func newPlanCache(capacity int) *planCache {
 	return &planCache{entries: map[string]*planEntry{}, cap: capacity}
 }
 
-// planKey builds the cache key: language tag plus the query text with runs
-// of whitespace collapsed. No case folding — string literals are
-// case-sensitive, and the parser already treats keywords uniformly.
-func planKey(lang, query string) string {
-	return lang + "\x00" + strings.Join(strings.Fields(query), " ")
+// planKey builds the cache key: profile level, language tag, and the query
+// text with runs of whitespace collapsed. No case folding — string literals
+// are case-sensitive, and the parser already treats keywords uniformly.
+func planKey(lang, query string, level profLevel) string {
+	return "0123"[level:level+1] + lang + "\x00" + strings.Join(strings.Fields(query), " ")
 }
 
 // lookup returns the entry for key locked and ready to run, or nil on a

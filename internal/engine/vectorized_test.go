@@ -340,6 +340,39 @@ func TestVecAutoThreshold(t *testing.T) {
 	}
 }
 
+// TestVecAutoModeIsDeterministic: under VecAuto the execution mode is the
+// compiler's static heuristic, a function of plan, catalog and config — not
+// of run history. A query recompiled 20 times, each run feeding the plan
+// feedback store, reports the same EXPLAIN mode every time. The recompiles
+// come from plan caching off on one engine and from cache-epoch bumps
+// before every run on the other.
+func TestVecAutoModeIsDeterministic(t *testing.T) {
+	const q = "SELECT SUM(val) FROM big WHERE id < 2000"
+	uncached := newVecEngine(t, Config{Parallelism: 1, Observability: true, PlanCacheSize: -1})
+	bumped := newVecEngine(t, Config{Parallelism: 1, Observability: true})
+	for _, e := range []*Engine{uncached, bumped} {
+		for i := 0; i < 20; i++ {
+			e.Caches().SetEnabled(false) // advances the cache epoch
+			if _, err := e.QuerySQL(q); err != nil {
+				t.Fatalf("run %d: %v", i, err)
+			}
+			if !e.RecentProfiles()[0].Vectorized {
+				t.Fatalf("run %d compiled tuple-at-a-time", i)
+			}
+			p, err := e.PrepareSQL(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out := p.Explain(); !strings.Contains(out, "-- mode: vectorized\n") {
+				t.Fatalf("run %d: EXPLAIN mode changed:\n%s", i, out)
+			}
+		}
+	}
+	if m := bumped.Metrics(); m.PlanCacheMisses != 20 || m.PlanCacheHits != 0 {
+		t.Errorf("epoch bumps did not force recompiles: hits=%d misses=%d", m.PlanCacheHits, m.PlanCacheMisses)
+	}
+}
+
 // Robustness in batch mode: the PR-3 guarantees must fire mid-batch.
 
 func TestVectorizedCancellationMidBatch(t *testing.T) {
@@ -421,6 +454,93 @@ func TestVectorizedMemBudgetMidBatch(t *testing.T) {
 	// Within budget still succeeds on the same engine.
 	if _, err := e.QuerySQL("SELECT val, COUNT(*) AS n FROM big GROUP BY val"); err != nil {
 		t.Fatalf("follow-up grouped query: %v", err)
+	}
+}
+
+func TestVectorizedJoinCancelMidProbe(t *testing.T) {
+	e := New(Config{Parallelism: 1, Vectorized: exec.VecOn})
+	slow := newSlowInput(1<<20, 50*time.Microsecond)
+	e.RegisterPlugin(slow)
+	slowSchema := types.NewRecordType(types.Field{Name: "id", Type: types.Int})
+	if err := e.Register("slow", "slow://t", "slow", slowSchema, plugin.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	// Small CSV build side; the slow table drives the vectorized probe.
+	e.Mem().PutFile("mem://dim.csv", []byte("1\n2\n3\n4\n5\n"))
+	if err := e.Register("dim", "mem://dim.csv", "csv", slowSchema, plugin.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.QuerySQLContext(ctx, "SELECT COUNT(*) FROM slow a JOIN dim b ON a.id = b.id")
+		done <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // mid-probe, inside a batch
+	cancel()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), context.Canceled.Error()) {
+			t.Fatalf("cancelled vectorized join returned %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("vectorized join ignored cancellation")
+	}
+}
+
+func TestVectorizedJoinTimeoutMidProbe(t *testing.T) {
+	e := New(Config{Parallelism: 1, Vectorized: exec.VecOn, QueryTimeout: 30 * time.Millisecond})
+	slow := newSlowInput(1<<20, 50*time.Microsecond)
+	e.RegisterPlugin(slow)
+	slowSchema := types.NewRecordType(types.Field{Name: "id", Type: types.Int})
+	if err := e.Register("slow", "slow://t", "slow", slowSchema, plugin.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	e.Mem().PutFile("mem://dim.csv", []byte("1\n2\n3\n"))
+	if err := e.Register("dim", "mem://dim.csv", "csv", slowSchema, plugin.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := e.QuerySQL("SELECT COUNT(*) FROM slow a JOIN dim b ON a.id = b.id")
+	if err == nil || !strings.Contains(err.Error(), context.DeadlineExceeded.Error()) {
+		t.Fatalf("timed-out vectorized join returned %v", err)
+	}
+}
+
+func TestVectorizedJoinMemBudget(t *testing.T) {
+	// 3000 build rows at >= 24 bytes of charged key state blow a 32 KiB
+	// budget from inside the vectorized build terminate.
+	e := newVecEngine(t, Config{Parallelism: 1, Vectorized: exec.VecOn, QueryMemBudget: 32 << 10})
+	_, err := e.QuerySQL("SELECT COUNT(*) FROM big a JOIN bigbin b ON a.id = b.id")
+	if err == nil {
+		t.Fatal("vectorized join under tiny budget succeeded")
+	}
+	if !strings.Contains(err.Error(), exec.ErrMemBudget.Error()) {
+		t.Fatalf("want mem-budget error, got %v", err)
+	}
+	// The engine stays usable within budget.
+	if _, err := e.QuerySQL("SELECT COUNT(*) FROM big WHERE val < 50"); err != nil {
+		t.Fatalf("follow-up query: %v", err)
+	}
+}
+
+func TestVectorizedSortMemBudget(t *testing.T) {
+	// 3000 collected rows charge 64 bytes each — the columnar collect must
+	// fail the same way the row-wise sort buffer would.
+	e := newVecEngine(t, Config{Parallelism: 1, Vectorized: exec.VecOn, QueryMemBudget: 64 << 10})
+	_, err := e.QuerySQL("SELECT id, val FROM big ORDER BY val")
+	if err == nil {
+		t.Fatal("vectorized ORDER BY under tiny budget succeeded")
+	}
+	if !strings.Contains(err.Error(), exec.ErrMemBudget.Error()) {
+		t.Fatalf("want mem-budget error, got %v", err)
+	}
+	// A bounded sort on the same engine succeeds.
+	res, err := e.QuerySQL("SELECT id, val FROM big WHERE id < 200 ORDER BY val")
+	if err != nil {
+		t.Fatalf("bounded ORDER BY: %v", err)
+	}
+	if len(res.Rows) != 200 {
+		t.Fatalf("bounded ORDER BY returned %d rows, want 200", len(res.Rows))
 	}
 }
 

@@ -7,13 +7,12 @@ import (
 	"time"
 )
 
-func TestFeedbackWelfordAndModeSplit(t *testing.T) {
+func TestFeedbackWelford(t *testing.T) {
 	f := NewPlanFeedback(8)
-	// Three tuple runs at 10/20/30ms, one vectorized at 40ms.
-	for i, d := range []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond} {
-		f.Observe("fp1", "SELECT 1", d, int64(100*(i+1)), false, false)
+	// Four runs at 10/20/30/40ms.
+	for i, d := range []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond, 40 * time.Millisecond} {
+		f.Observe("fp1", "SELECT 1", d, int64(100*(i+1)), false, nil)
 	}
-	f.Observe("fp1", "SELECT 1", 40*time.Millisecond, 400, true, false)
 
 	st, ok := f.Lookup("fp1")
 	if !ok {
@@ -29,21 +28,15 @@ func TestFeedbackWelfordAndModeSplit(t *testing.T) {
 	if got := st.StddevNanos / 1e6; math.Abs(got-12.909944) > 1e-3 {
 		t.Errorf("stddev = %gms, want ~12.91ms", got)
 	}
-	if st.Tuple.Runs != 3 || st.Tuple.Rows != 600 {
-		t.Errorf("tuple mode = %+v", st.Tuple)
-	}
-	if st.Vectorized.Runs != 1 || st.Vectorized.Rows != 400 {
-		t.Errorf("vectorized mode = %+v", st.Vectorized)
-	}
-	if got, want := st.Vectorized.RowsPerSec(), 400/0.04; math.Abs(got-want) > 1e-6 {
-		t.Errorf("vectorized rows/sec = %g, want %g", got, want)
+	if st.PhaseMeanNanos != [5]float64{} {
+		t.Errorf("untraced runs claimed phase means: %v", st.PhaseMeanNanos)
 	}
 }
 
 func TestFeedbackErrorsAndNilSafety(t *testing.T) {
 	f := NewPlanFeedback(8)
-	f.Observe("fp", "q", time.Millisecond, 0, false, true)
-	f.Observe("", "no fingerprint", time.Millisecond, 0, false, false)
+	f.Observe("fp", "q", time.Millisecond, 0, true, nil)
+	f.Observe("", "no fingerprint", time.Millisecond, 0, false, nil)
 	if st, _ := f.Lookup("fp"); st.Errors != 1 {
 		t.Errorf("errors = %d, want 1", st.Errors)
 	}
@@ -51,8 +44,7 @@ func TestFeedbackErrorsAndNilSafety(t *testing.T) {
 		t.Errorf("len = %d, want 1 (empty fingerprint ignored)", f.Len())
 	}
 	var nilStore *PlanFeedback
-	nilStore.Observe("fp", "q", time.Millisecond, 1, false, false)
-	nilStore.ObserveProfile(&QueryProfile{Fingerprint: "fp"})
+	nilStore.Observe("fp", "q", time.Millisecond, 1, false, []Span{{Name: PhaseExecute}})
 	if nilStore.Snapshot() != nil || nilStore.Len() != 0 {
 		t.Error("nil store must track nothing")
 	}
@@ -64,11 +56,11 @@ func TestFeedbackErrorsAndNilSafety(t *testing.T) {
 func TestFeedbackLRUEviction(t *testing.T) {
 	f := NewPlanFeedback(3)
 	for i := 0; i < 3; i++ {
-		f.Observe(fmt.Sprintf("fp%d", i), "q", time.Millisecond, 1, false, false)
+		f.Observe(fmt.Sprintf("fp%d", i), "q", time.Millisecond, 1, false, nil)
 	}
 	// Touch fp0 so fp1 becomes the LRU, then overflow.
-	f.Observe("fp0", "q", time.Millisecond, 1, false, false)
-	f.Observe("fp3", "q", time.Millisecond, 1, false, false)
+	f.Observe("fp0", "q", time.Millisecond, 1, false, nil)
+	f.Observe("fp3", "q", time.Millisecond, 1, false, nil)
 	if f.Len() != 3 {
 		t.Fatalf("len = %d, want 3", f.Len())
 	}
@@ -89,17 +81,16 @@ func TestFeedbackObserveProfilePhases(t *testing.T) {
 		Query:       "SELECT 1",
 		Total:       10 * time.Millisecond,
 		Rows:        5,
-		Vectorized:  true,
 		Phases: []Span{
 			{Name: PhaseParse, Dur: time.Millisecond},
 			{Name: PhaseExecute, Dur: 8 * time.Millisecond},
 			{Name: "not-a-phase", Dur: time.Hour},
 		},
 	}
-	f.ObserveProfile(qp)
-	f.ObserveProfile(qp)
+	f.Observe(qp.Fingerprint, qp.Query, qp.Total, qp.Rows, false, qp.Phases)
+	f.Observe(qp.Fingerprint, qp.Query, qp.Total, qp.Rows, false, qp.Phases)
 	st, _ := f.Lookup("fp")
-	if st.Executions != 2 || st.Vectorized.Runs != 2 {
+	if st.Executions != 2 || st.Rows != 10 {
 		t.Errorf("stats = %+v", st)
 	}
 	if got := st.PhaseMeanNanos[PhaseIndex(PhaseExecute)]; got != float64(8*time.Millisecond) {
@@ -112,9 +103,9 @@ func TestFeedbackObserveProfilePhases(t *testing.T) {
 
 func TestFeedbackSnapshotOrder(t *testing.T) {
 	f := NewPlanFeedback(8)
-	f.Observe("rare", "q", time.Millisecond, 1, false, false)
+	f.Observe("rare", "q", time.Millisecond, 1, false, nil)
 	for i := 0; i < 3; i++ {
-		f.Observe("hot", "q", time.Millisecond, 1, false, false)
+		f.Observe("hot", "q", time.Millisecond, 1, false, nil)
 	}
 	snap := f.Snapshot()
 	if len(snap) != 2 || snap[0].Fingerprint != "hot" || snap[1].Fingerprint != "rare" {

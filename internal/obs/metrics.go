@@ -64,11 +64,6 @@ type Metrics struct {
 	ClusterErrors          atomic.Int64 // distributed queries that returned an error
 	ClusterFragmentsServed atomic.Int64 // fragment requests this engine served as a worker
 
-	// ModeDecisions counts compile-time execution-mode decisions as a flat
-	// mode × source matrix (see ModeDecisionIndex); rendered as the labeled
-	// proteus_plan_mode_decisions_total family.
-	ModeDecisions [len(ModeDecisionModes) * len(ModeDecisionSources)]atomic.Int64
-
 	// Admission gate instrumentation: AdmissionQueued is a gauge of queries
 	// currently waiting for (or taking) an admission slot; AdmissionWait
 	// records how long each gated query waited before admission — time that,
@@ -76,8 +71,8 @@ type Metrics struct {
 	AdmissionQueued atomic.Int64
 	AdmissionWait   Histogram
 
-	// Latency histograms (observability v2): one per life-cycle phase plus
-	// end-to-end, fed once per observed query.
+	// Latency histograms (observability v2): one per life-cycle phase, fed
+	// by traced queries, plus end-to-end, fed by every query.
 	PhaseLatency [5]Histogram
 	TotalLatency Histogram
 }
@@ -106,56 +101,15 @@ func (m *Metrics) CountClusterFallback(reason string) {
 	}
 }
 
-// ModeDecisionModes and ModeDecisionSources enumerate the execution-mode
-// decision matrix: which engine a plan compiled to, and why.
-var (
-	ModeDecisionModes   = [...]string{"tuple", "vectorized"}
-	ModeDecisionSources = [...]string{"measured", "explore", "heuristic", "config"}
-)
-
-// ModeDecisionIndex maps a (mode, source) pair onto its ModeDecisions cell
-// (-1 for unknown labels).
-func ModeDecisionIndex(mode, source string) int {
-	mi, si := -1, -1
-	for i, m := range ModeDecisionModes {
-		if m == mode {
-			mi = i
-		}
-	}
-	for i, s := range ModeDecisionSources {
-		if s == source {
-			si = i
-		}
-	}
-	if mi < 0 || si < 0 {
-		return -1
-	}
-	return mi*len(ModeDecisionSources) + si
-}
-
-// CountModeDecision increments one cell of the mode-decision matrix.
-func (m *Metrics) CountModeDecision(mode, source string) {
-	if i := ModeDecisionIndex(mode, source); i >= 0 {
-		m.ModeDecisions[i].Add(1)
-	}
-}
-
-// ModeDecisionCount is one rendered cell of the decision matrix.
-type ModeDecisionCount struct {
-	Mode   string `json:"mode"`
-	Source string `json:"source"`
-	Count  int64  `json:"count"`
-}
-
-// ObserveLatency folds one profile's phase and total durations into the
-// latency histograms.
-func (m *Metrics) ObserveLatency(q *QueryProfile) {
-	for _, s := range q.Phases {
+// ObservePhases folds one traced query's life-cycle spans into the
+// cumulative per-phase time and the per-phase latency histograms.
+func (m *Metrics) ObservePhases(phases []Span) {
+	for _, s := range phases {
+		m.AddPhase(s.Name, int64(s.Dur))
 		if i := PhaseIndex(s.Name); i >= 0 {
 			m.PhaseLatency[i].Observe(s.Dur)
 		}
 	}
-	m.TotalLatency.Observe(q.Total)
 }
 
 // AddPhase accumulates one phase duration by name.
@@ -236,10 +190,6 @@ type Snapshot struct {
 	ClusterFallbackReasons map[string]int64 `json:"cluster_fallback_reasons,omitempty"`
 	ClusterErrors          int64            `json:"cluster_errors"`
 	ClusterFragmentsServed int64            `json:"cluster_fragments_served"`
-
-	// ModeDecisions lists the non-zero cells of the execution-mode decision
-	// matrix (adaptive tuple-vs-vectorized selection).
-	ModeDecisions []ModeDecisionCount `json:"mode_decisions,omitempty"`
 
 	// AdmissionQueued is the queue-depth gauge of the admission gate;
 	// AdmissionWait summarizes how long gated queries waited for a slot.
@@ -332,27 +282,11 @@ func (m *Metrics) Snapshot(cache CacheCounters) Snapshot {
 		ClusterFallbackReasons: fallbackReasons,
 		ClusterFragmentsServed: m.ClusterFragmentsServed.Load(),
 
-		ModeDecisions:   m.modeDecisionCounts(),
 		AdmissionQueued: m.AdmissionQueued.Load(),
 		AdmissionWait:   summarize("admission_wait", &m.AdmissionWait),
 		Cache:           cache,
 		Latency:         m.latencySummaries(),
 	}
-}
-
-// modeDecisionCounts renders the non-zero cells of the decision matrix in
-// matrix order (deterministic).
-func (m *Metrics) modeDecisionCounts() []ModeDecisionCount {
-	var out []ModeDecisionCount
-	for mi, mode := range ModeDecisionModes {
-		for si, source := range ModeDecisionSources {
-			n := m.ModeDecisions[mi*len(ModeDecisionSources)+si].Load()
-			if n > 0 {
-				out = append(out, ModeDecisionCount{Mode: mode, Source: source, Count: n})
-			}
-		}
-	}
-	return out
 }
 
 // latencySummaries snapshots every latency histogram, phases first, the
@@ -455,15 +389,6 @@ func (s Snapshot) Prometheus() string {
 	}
 	counter("proteus_cluster_errors_total", "Distributed queries that returned an error.", fmt.Sprint(s.ClusterErrors))
 	counter("proteus_cluster_fragments_served_total", "Fragment requests this engine served as a cluster worker.", fmt.Sprint(s.ClusterFragmentsServed))
-
-	if len(s.ModeDecisions) > 0 {
-		b.WriteString("# HELP proteus_plan_mode_decisions_total Compile-time execution-mode decisions by mode and source.\n")
-		b.WriteString("# TYPE proteus_plan_mode_decisions_total counter\n")
-		for _, d := range s.ModeDecisions {
-			fmt.Fprintf(&b, "proteus_plan_mode_decisions_total{mode=\"%s\",source=\"%s\"} %d\n",
-				escapeLabel(d.Mode), escapeLabel(d.Source), d.Count)
-		}
-	}
 
 	gauge("proteus_admission_queued", "Queries waiting for an admission slot.", s.AdmissionQueued)
 	{

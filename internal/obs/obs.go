@@ -131,7 +131,7 @@ type QueryProfile struct {
 	Lang  string    `json:"lang"` // "sql", "comp", or "plan"
 	Query string    `json:"query"`
 	Start time.Time `json:"start"`
-	// Total is end-to-end wall time (parse through execute).
+	// Total is end-to-end wall time (admission through execute).
 	Total time.Duration `json:"total"`
 	// Phases holds one span per life-cycle phase; the execute span carries
 	// per-worker child spans under morsel parallelism.
@@ -150,6 +150,9 @@ type QueryProfile struct {
 	// Timed reports whether per-operator wall timing was on (EXPLAIN
 	// ANALYZE); untimed profiles carry counters only.
 	Timed bool `json:"timed"`
+	// PlanCached reports that the program came from the compiled-plan cache:
+	// the query paid no parse..compile, so Phases holds only execute.
+	PlanCached bool `json:"plan_cached,omitempty"`
 	// Fingerprint is the compiled plan's structural fingerprint — the
 	// feedback-store key (empty when compilation failed).
 	Fingerprint string `json:"fingerprint,omitempty"`

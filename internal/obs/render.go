@@ -17,6 +17,9 @@ func RenderProfile(q *QueryProfile) string {
 	if q.Workers > 1 {
 		fmt.Fprintf(&b, "  (%d workers, %d morsels)", q.Workers, q.Morsels)
 	}
+	if q.PlanCached {
+		b.WriteString("  (plan cached)")
+	}
 	b.WriteString("\n")
 	for _, s := range q.Phases {
 		fmt.Fprintf(&b, "  %-8s %v\n", s.Name+":", s.Dur.Round(time.Microsecond))

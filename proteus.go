@@ -71,7 +71,7 @@ type Config struct {
 	// Observability records a QueryProfile (phase spans + per-operator row
 	// counts) for every query, retained in a bounded ring. Metrics() and
 	// ExplainAnalyze work without it; the flag only controls always-on
-	// per-query tracing. Overhead is a few percent (counters are updated
+	// per-query tracing. Traced programs are plan-cached like untraced ones. Overhead is a few percent (counters are updated
 	// per batch/morsel, never per tuple; see DESIGN.md, Observability).
 	Observability bool
 	// ProfileRingSize bounds the retained recent-query profiles (default 32).
@@ -90,7 +90,8 @@ type Config struct {
 	// (db.SlowQueries(), /debug/slow): query text, plan fingerprint,
 	// per-phase breakdown, worst cardinality misestimate, per-query cache
 	// and index attribution, and the memory high-water mark. Setting it
-	// forces full profiling per query even when Observability is off.
+	// profiles every query even when Observability is off; profiled
+	// programs are plan-cached like unprofiled ones.
 	SlowQueryThreshold time.Duration
 	// SlowQueryLogSize bounds the retained slow-query records (default 128).
 	SlowQueryLogSize int
@@ -120,8 +121,9 @@ type Config struct {
 	// Vectorized selects the execution mode for eligible pipeline segments
 	// (scan→filter chains over scalar columns feeding aggregates or
 	// projections). VectorizedAuto (the default) uses batch kernels when
-	// the input is large enough to amortize their setup; VectorizedOn and
-	// VectorizedOff force one mode everywhere. Results are identical in
+	// the input is large enough to amortize their setup — a static,
+	// deterministic choice per plan, never one learned from earlier runs;
+	// VectorizedOn and VectorizedOff force one mode everywhere. Results are identical in
 	// every mode — this knob trades compilation simplicity for throughput.
 	Vectorized VecMode
 	// PlanCacheSize bounds the compiled-plan cache in entries (0 = default
@@ -192,8 +194,8 @@ type MetricsSnapshot = obs.Snapshot
 type SlowQuery = obs.SlowQuery
 
 // PlanStats is one plan fingerprint's accumulated runtime feedback:
-// executions, mean/stddev of total time, per-phase means, and observed
-// tuple-vs-vectorized throughput.
+// executions, errors, rows, mean/stddev of total time, and per-phase
+// means.
 type PlanStats = obs.PlanStats
 
 // Value is the engine's datum representation (nested records, collections,

@@ -397,15 +397,32 @@ func (e *Engine) QueryCompContext(ctx context.Context, query string) (*exec.Resu
 	return e.query(ctx, LangComp, query)
 }
 
-// query runs an ordinary statement: traced when observability or the
-// slow-query log needs its profile, untraced otherwise.
+// query runs an ordinary statement for a library caller: QueryStream's
+// result, boxed.
 func (e *Engine) query(ctx context.Context, lang, text string) (*exec.Result, error) {
+	res, err := e.QueryStream(ctx, lang, text)
+	return res.Box(), err
+}
+
+// QueryStream runs an ordinary statement in language lang (LangSQL or
+// LangComp) — traced when observability or the slow-query log needs its
+// profile, untraced otherwise — and returns a columnar collect's result
+// unboxed, for the query service to encode straight from its typed columns
+// (exec.Result.StreamChunks). Every other entry point returns boxed rows.
+func (e *Engine) QueryStream(ctx context.Context, lang, text string) (*exec.Result, error) {
 	level := profOff
 	if e.obsEnabled || e.slowlog != nil {
 		level = e.observedLevel()
 	}
 	res, _, err := e.runQuery(ctx, lang, text, level)
 	return res, err
+}
+
+// boxedQuery is runQuery for the entry points that hand back a profile:
+// their callers always get boxed rows.
+func (e *Engine) boxedQuery(ctx context.Context, lang, query string, level profLevel) (*exec.Result, *obs.QueryProfile, error) {
+	res, qp, err := e.runQuery(ctx, lang, query, level)
+	return res.Box(), qp, err
 }
 
 // profLevel is how much instrumentation a query's program is compiled with.
@@ -577,10 +594,10 @@ func (e *Engine) prepare(ctx context.Context, lang, query string, level profLeve
 		prog.WrapResult(func(res *exec.Result) (*exec.Result, error) {
 			// The sort buffer holds every materialized row; charge it
 			// against the query's memory budget before sorting.
-			if err := prog.ChargeMem(64 * int64(len(res.Rows))); err != nil {
+			if err := prog.ChargeMem(64 * int64(res.Len())); err != nil {
 				return nil, err
 			}
-			return orderAndLimit(res, orderBy, desc, limit)
+			return orderAndLimit(res.Box(), orderBy, desc, limit)
 		})
 	}
 	return &Prepared{Plan: plan, Program: prog, Sort: sortSpec}, nil
@@ -642,7 +659,7 @@ func (e *Engine) execute(ctx context.Context, lang, query string, p *Prepared) (
 			return res, frag, true, err
 		}
 	}
-	res, err = p.Program.RunContext(ctx)
+	res, err = p.Program.RunUnboxed(ctx)
 	return res, nil, false, err
 }
 
@@ -658,7 +675,7 @@ func (e *Engine) finish(qp *obs.QueryProfile, start time.Time, query string, p *
 	if err != nil {
 		m.Errors.Add(1)
 	} else {
-		rows = int64(len(res.Rows))
+		rows = int64(res.Len())
 		m.RowsOut.Add(rows)
 	}
 	m.TotalLatency.Observe(total)

@@ -103,24 +103,24 @@ func (e *Engine) flushProfile(qp *obs.QueryProfile) {
 // regardless of Config.Observability. Benchmarks use it to split compile
 // from execute time without the EXPLAIN ANALYZE timing overhead.
 func (e *Engine) ObservedQuerySQL(query string) (*exec.Result, *obs.QueryProfile, error) {
-	return e.runQuery(context.Background(), LangSQL, query, e.observedLevel())
+	return e.boxedQuery(context.Background(), LangSQL, query, e.observedLevel())
 }
 
 // ObservedQueryComp is ObservedQuerySQL for comprehension queries.
 func (e *Engine) ObservedQueryComp(query string) (*exec.Result, *obs.QueryProfile, error) {
-	return e.runQuery(context.Background(), LangComp, query, e.observedLevel())
+	return e.boxedQuery(context.Background(), LangComp, query, e.observedLevel())
 }
 
 // ExplainAnalyzeSQL executes a SQL statement with full per-operator wall
 // timing and returns its profile alongside the result.
 func (e *Engine) ExplainAnalyzeSQL(query string) (*exec.Result, *obs.QueryProfile, error) {
-	return e.runQuery(context.Background(), LangSQL, query, profTimed)
+	return e.boxedQuery(context.Background(), LangSQL, query, profTimed)
 }
 
 // ExplainAnalyzeComp executes a comprehension with full per-operator wall
 // timing and returns its profile alongside the result.
 func (e *Engine) ExplainAnalyzeComp(query string) (*exec.Result, *obs.QueryProfile, error) {
-	return e.runQuery(context.Background(), LangComp, query, profTimed)
+	return e.boxedQuery(context.Background(), LangComp, query, profTimed)
 }
 
 // Metrics snapshots the engine's cumulative counters, folding in the cache

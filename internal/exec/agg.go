@@ -232,6 +232,7 @@ func strAccumulator(kind expr.AggKind, ev evalStr) (*accumulator, error) {
 type reducePartial struct {
 	collect bool
 	names   []string
+	out     *collectRows // a record collect's field names, shared by its results (nil: none)
 	rows    []types.Value
 	accs    []*accumulator
 	// rowsCell, when profiled, receives the output cardinality at result
@@ -267,7 +268,7 @@ func (p *reducePartial) result() (*Result, error) {
 		if p.rowsCell != nil {
 			*p.rowsCell = int64(len(p.rows))
 		}
-		return &Result{Cols: []string{p.names[0]}, Rows: p.rows}, nil
+		return &Result{Cols: []string{p.names[0]}, Rows: p.rows, out: p.out}, nil
 	}
 	if p.rowsCell != nil {
 		*p.rowsCell = 1
@@ -302,6 +303,9 @@ func (c *Compiler) compileReducePartial(red *algebra.Reduce) (func(r *vbuf.Regs)
 	// Collection yield: one bag/list aggregate produces the result rows.
 	if len(red.Aggs) == 1 && (red.Aggs[0].Kind == expr.AggBag || red.Aggs[0].Kind == expr.AggList) {
 		st.collect = true
+		if rec, ok := red.Aggs[0].Arg.(*expr.RecordCtor); ok {
+			st.out = &collectRows{fields: rec.Names}
+		}
 		var ev evalVal
 		run, err := c.compileChildThen(red.Child, func() (Kont, error) {
 			e, err := c.compileVal(red.Aggs[0].Arg)

@@ -351,10 +351,10 @@ type scanInfo struct {
 	cachedFields []cachedField
 	buildReqs    []buildReq
 
-	// zoneSkip (nil when no pushed predicate maps onto a cached column's
-	// zone maps) reports whether a window of row ordinals can be skipped
-	// wholesale. It is only safe to consult on the full-cache-hit drivers,
-	// where no builders observe the row stream.
+	// zoneSkip (nil when no pushed predicate maps onto zone maps — a cached
+	// column's, or the plug-in's own) reports whether a window of row
+	// ordinals can be skipped wholesale. It is only safe to consult where no
+	// builder observes the row stream (see scanSpec).
 	zoneSkip func(lo, hi int64) bool
 	// credit (nil likewise) notifies the cache manager at run time that the
 	// scan's pushed predicates touched their columns again — the adaptive
@@ -540,8 +540,7 @@ func (c *Compiler) compileScan(s *algebra.Scan, consume Kont) (func(r *vbuf.Regs
 		}
 	}
 
-	spec := plugin.ScanSpec{Fields: si.pluginFields, OIDSlot: &si.b.oidSlot, Morsel: si.morsel, Prof: si.scanProf, Cancel: c.cancel}
-	pluginRun, err := si.in.CompileScan(si.ds, spec)
+	pluginRun, err := si.in.CompileScan(si.ds, c.scanSpec(si, si.pluginFields))
 	if err != nil {
 		return nil, err
 	}
@@ -560,6 +559,16 @@ func (c *Compiler) compileScan(s *algebra.Scan, consume Kont) (func(r *vbuf.Regs
 		return nil
 	}
 	return c.profScanRun(s, run, morselRows(si.morsel, si.rows)), nil
+}
+
+// scanSpec is the plug-in request of a scan for the given fields. The
+// zone-skip test rides along unless a cache builder must see every row.
+func (c *Compiler) scanSpec(si *scanInfo, fields []plugin.FieldReq) plugin.ScanSpec {
+	spec := plugin.ScanSpec{Fields: fields, OIDSlot: &si.b.oidSlot, Morsel: si.morsel, Prof: si.scanProf, Cancel: c.cancel}
+	if len(si.buildReqs) == 0 {
+		spec.Skip = si.zoneSkip
+	}
+	return spec
 }
 
 // morselRows returns the number of records a scan driver will emit: the

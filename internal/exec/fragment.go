@@ -207,7 +207,7 @@ func encodePartial(st partialState, fp string, topK *SortSpec, mem *memGauge) (*
 		if err != nil {
 			return nil, err
 		}
-		return rowsPartial(ShapeCollect, res.Cols, res.Rows)
+		return rowsPartial(ShapeCollect, res.Cols, res.Box().Rows)
 	case *reducePartial:
 		if s.collect {
 			return rowsPartial(ShapeCollect, s.names, s.rows)
@@ -660,7 +660,7 @@ func CompileFragment(plan algebra.Node, env *Env, start, end int64) (*FragmentPr
 }
 
 // RunContext executes the fragment under ctx — the same cancellation,
-// memory-budget, and panic-barrier contract as Program.RunContext — and
+// memory-budget, and panic-barrier contract as Program.RunUnboxed — and
 // returns its serialized partial state. A fragment whose morsel happens to
 // cover the whole dataset still registers complete cache blocks; partial
 // morsels never do (finishCaches requires the fragments to tile the
@@ -809,7 +809,7 @@ func (m *MergeState) decode(p *Partial) (partialState, error) {
 		return &barePartial{names: st.names, rows: p.Rows}, nil
 	case *reducePartial:
 		if st.collect {
-			return &reducePartial{collect: true, names: st.names, rows: p.Rows}, nil
+			return &reducePartial{collect: true, names: st.names, out: st.out, rows: p.Rows}, nil
 		}
 		accs := make([]*accumulator, len(st.accs))
 		for i, a := range st.accs {

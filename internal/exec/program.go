@@ -15,9 +15,12 @@ import (
 	"proteus/internal/vbuf"
 )
 
-// Result is a fully materialized query result: one boxed record (or scalar)
-// per output row. Boxing happens only here, at the pipeline's end — the
-// flush step of the paper's output plug-ins.
+// Result is a query result: one boxed record (or scalar) per output row in
+// Rows — the flush step of the paper's output plug-ins — or, straight out of
+// a columnar collect, the typed output columns themselves, boxed only when
+// a caller needs Rows (Box). Library entry points always return boxed
+// results; the query service streams columnar ones as they are
+// (StreamChunks).
 type Result struct {
 	Cols []string
 	Rows []types.Value
@@ -25,6 +28,79 @@ type Result struct {
 	// purely local execution, N when a cluster coordinator gathered N
 	// worker partials (internal/cluster).
 	Fragments int
+
+	// out is nil unless the compiled yield knows more than Rows tells. One
+	// pointer keeps Result in its old allocation size class.
+	out *collectRows
+}
+
+// collectRows is what a compiled collect knows about its result rows. fields
+// names the fields of record rows, so an empty result has them too. A
+// columnar collect also hands over its rows unboxed: cols is non-nil and
+// Rows is nil. Output row i is cols row perm[i] (row i when perm is nil),
+// for i < n.
+type collectRows struct {
+	fields []string
+	cols   []Column
+	perm   []int32
+	n      int
+}
+
+// unboxed reports whether s holds the rows of its result.
+func (s *collectRows) unboxed() bool { return s != nil && s.cols != nil }
+
+// row maps output position i to its column index.
+func (s *collectRows) row(i int) int {
+	if s.perm != nil {
+		return int(s.perm[i])
+	}
+	return i
+}
+
+// Len returns the number of result rows, boxed or not.
+func (r *Result) Len() int {
+	if r.out.unboxed() {
+		return r.out.n
+	}
+	return len(r.Rows)
+}
+
+// FieldNames returns the field names of record-shaped rows — from the
+// compiled yield when it knows them, so also for an empty result, else from
+// the first row — and nil for scalar rows or an empty result of unknown
+// shape.
+func (r *Result) FieldNames() []string {
+	if r.out != nil && r.out.fields != nil {
+		return r.out.fields
+	}
+	if len(r.Rows) > 0 && r.Rows[0].Kind == types.KindRecord && r.Rows[0].Rec != nil {
+		return r.Rows[0].Rec.Names
+	}
+	return nil
+}
+
+// Box materializes a columnar result into Rows — one backing array for all
+// records and one for all their values — and returns r. Boxed results (and
+// nil) are returned as they are.
+func (r *Result) Box() *Result {
+	if r == nil || !r.out.unboxed() {
+		return r
+	}
+	s, w := r.out, len(r.out.cols)
+	recs := make([]types.Record, s.n)
+	vals := make([]types.Value, s.n*w)
+	rows := make([]types.Value, s.n)
+	for i := range rows {
+		ri := s.row(i)
+		v := vals[i*w : (i+1)*w : (i+1)*w]
+		for f := range s.cols {
+			v[f] = s.cols[f].box(ri)
+		}
+		recs[i] = types.Record{Names: s.fields, Values: v}
+		rows[i] = types.Value{Kind: types.KindRecord, Rec: &recs[i]}
+	}
+	r.Rows, r.out = rows, &collectRows{fields: s.fields}
+	return r
 }
 
 // DefaultStreamChunk is the StreamChunks granularity used when the caller
@@ -32,31 +108,64 @@ type Result struct {
 // enough that a disconnected consumer is noticed quickly.
 const DefaultStreamChunk = 256
 
-// StreamChunks is the row-streaming hook of the query service: it feeds the
-// materialized rows to emit in chunks of at most chunkRows (<= 0 uses
-// DefaultStreamChunk), checking ctx between chunks so a cancelled consumer
-// — a disconnected HTTP client, a shut-down server — stops the stream at
-// the next chunk boundary with ctx's cause. An emit error (the write side
-// of a broken connection) aborts the stream and is returned as-is. Rows are
-// handed out as sub-slices of the result; emit must not retain them past
-// its return if the caller reuses the Result.
-func (r *Result) StreamChunks(ctx context.Context, chunkRows int, emit func(rows []types.Value) error) error {
+// Chunk is one window of a streamed result: a run of boxed Rows, or — for a
+// columnar result — output rows [lo, hi), read through Columns and Row.
+type Chunk struct {
+	Rows []types.Value
+
+	cols   *collectRows // nil for boxed rows
+	lo, hi int
+}
+
+// Len returns the number of rows in the chunk.
+func (c Chunk) Len() int {
+	if c.cols != nil {
+		return c.hi - c.lo
+	}
+	return len(c.Rows)
+}
+
+// Columns returns the typed output columns of a columnar chunk (shared by
+// every chunk of the result), nil for boxed rows.
+func (c Chunk) Columns() []Column {
+	if c.cols == nil {
+		return nil
+	}
+	return c.cols.cols
+}
+
+// Row returns the index into Columns of the chunk's i-th row.
+func (c Chunk) Row(i int) int { return c.cols.row(c.lo + i) }
+
+// StreamChunks is the row source of the query service: it feeds the rows to
+// emit in chunks of at most chunkRows (<= 0 uses DefaultStreamChunk), boxed
+// or columnar as the result holds them, checking ctx between chunks so a
+// cancelled consumer — a disconnected HTTP client, a shut-down server —
+// stops the stream at the next chunk boundary with ctx's cause. An emit
+// error (the write side of a broken connection) aborts the stream and is
+// returned as-is. Chunks view the result's storage; emit must not retain
+// them past its return if the caller reuses the Result.
+func (r *Result) StreamChunks(ctx context.Context, chunkRows int, emit func(Chunk) error) error {
 	if chunkRows <= 0 {
 		chunkRows = DefaultStreamChunk
 	}
-	rows := r.Rows
-	for len(rows) > 0 {
+	var cols *collectRows
+	if r.out.unboxed() {
+		cols = r.out
+	}
+	n := r.Len()
+	for lo := 0; lo < n; lo += chunkRows {
 		if ctx.Err() != nil {
 			return context.Cause(ctx)
 		}
-		n := chunkRows
-		if n > len(rows) {
-			n = len(rows)
+		hi := min(lo+chunkRows, n)
+		c := Chunk{cols: cols, lo: lo, hi: hi}
+		if cols == nil {
+			c.Rows = r.Rows[lo:hi]
 		}
-		if err := emit(rows[:n]); err != nil {
+		if err := emit(c); err != nil {
 			return err
 		}
-		rows = rows[n:]
 	}
 	return nil
 }
@@ -110,12 +219,20 @@ type Program struct {
 // Run executes the program against a fresh register file.
 func (p *Program) Run() (*Result, error) { return p.RunContext(context.Background()) }
 
-// RunContext executes the program under ctx: when ctx is cancelled or its
+// RunContext executes the program under ctx and returns its boxed result
+// (see RunUnboxed).
+func (p *Program) RunContext(ctx context.Context) (*Result, error) {
+	res, err := p.RunUnboxed(ctx)
+	return res.Box(), err
+}
+
+// RunUnboxed executes the program under ctx: when ctx is cancelled or its
 // deadline passes, the scan drivers abort at the next poll boundary and
-// the run returns ctx's cause. RunContext is also the query-boundary panic
+// the run returns ctx's cause. A columnar collect's result comes back
+// unboxed (see Result.Box). RunUnboxed is also the query-boundary panic
 // barrier — a panic inside the compiled pipeline (or its post-processing)
 // surfaces as a *PanicError instead of unwinding into the caller.
-func (p *Program) RunContext(ctx context.Context) (res *Result, err error) {
+func (p *Program) RunUnboxed(ctx context.Context) (res *Result, err error) {
 	if ctx.Err() != nil {
 		return nil, context.Cause(ctx)
 	}

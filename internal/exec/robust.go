@@ -45,7 +45,7 @@ func (g *memGauge) charge(n int64) error {
 }
 
 // PanicError is a panic from inside a compiled closure, caught at the
-// query boundary (Program.RunContext for the serial path, the worker
+// query boundary (Program.RunUnboxed for the serial path, the worker
 // barrier in CompileParallel for pipeline clones) and converted into an
 // ordinary error. The shared engine, cache manager, and statistics store
 // are untouched by the failed run, so subsequent queries proceed normally.

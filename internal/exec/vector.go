@@ -158,15 +158,25 @@ func (c *Compiler) canVecExpr(e expr.Expr, schema *types.RecordType, bind string
 }
 
 // vecSeg is one compiled vectorized segment: the batch, its producer, the
-// cache overlay and population hooks, and the filter cascade.
+// cache overlay and population hooks, the filter cascade, and the late
+// column loaders of predicate-first materialization.
 type vecSeg struct {
 	si       *scanInfo
 	batch    *vbuf.Batch
 	producer plugin.BatchRunFunc
 	overlay  []cachepg.BatchLoader // cached fields merged into plug-in batches
 	builders []*cachepg.Builder
-	filters  []vecFilter
-	selCells []*opCounters // one per filter; nil entries when unprofiled
+	selects  []segSelect         // bottom-up
+	late     []plugin.LaneLoader // columns no filter reads, loaded after the cascade
+}
+
+// segSelect is one Select of a segment: a filter per top-level conjunct,
+// each preceded by the lane loaders of the columns it is the first to read
+// (none unless the segment materializes predicate-first).
+type segSelect struct {
+	filters []vecFilter
+	loads   [][]plugin.LaneLoader // per conjunct
+	cell    *opCounters           // nil when unprofiled
 }
 
 // compileVecSeg compiles an eligible chain into a segment. Must only be
@@ -180,6 +190,7 @@ func (c *Compiler) compileVecSeg(ch *vecChain) (*vecSeg, error) {
 	seg := &vecSeg{si: si, batch: vbuf.NewBatch(&c.alloc)}
 
 	producerTag := "native"
+	var lazy map[string]plugin.LaneLoader
 	if len(si.pluginFields) == 0 && len(si.cachedFields) > 0 {
 		// Full cache hit: batches alias the cache blocks' arrays directly.
 		var loaders []cachepg.BatchLoader
@@ -195,8 +206,14 @@ func (c *Compiler) compileVecSeg(ch *vecChain) (*vecSeg, error) {
 		seg.producer = cachepg.CompileBatchScan(si.rows, loaders, &si.b.oidSlot, si.morsel, si.scanProf, c.cancel, si.zoneSkip)
 		producerTag = "cache"
 	} else {
-		spec := plugin.ScanSpec{Fields: si.pluginFields, OIDSlot: &si.b.oidSlot, Morsel: si.morsel, Prof: si.scanProf, Cancel: c.cancel}
-		seg.producer, err = c.compileBatchProducer(si, spec, &producerTag)
+		if lazy, err = c.laneLoaders(si); err != nil {
+			return nil, err
+		}
+		fields := si.pluginFields
+		if lazy != nil {
+			fields = nil // the producer decodes only OIDs; loaders do the rest
+		}
+		seg.producer, err = c.compileBatchProducer(si, c.scanSpec(si, fields), &producerTag)
 		if err != nil {
 			return nil, err
 		}
@@ -216,16 +233,69 @@ func (c *Compiler) compileVecSeg(ch *vecChain) (*vecSeg, error) {
 	}
 
 	for _, sel := range ch.selects {
-		f, err := c.compileSegFilter(si, sel.Pred)
+		conj, filters, err := c.compileSegFilter(si, sel.Pred)
 		if err != nil {
 			return nil, err
 		}
-		seg.filters = append(seg.filters, f)
-		seg.selCells = append(seg.selCells, c.opCtr(sel))
+		ss := segSelect{filters: filters, loads: make([][]plugin.LaneLoader, len(conj)), cell: c.opCtr(sel)}
+		for i, e := range conj {
+			for _, p := range exprPaths(e, si.s.Binding) {
+				if ld, ok := lazy[p]; ok {
+					ss.loads[i] = append(ss.loads[i], ld)
+					delete(lazy, p)
+				}
+			}
+		}
+		seg.selects = append(seg.selects, ss)
 	}
-	c.note("scan %s: vectorized segment (%s producer, %d filters)", ch.scan.Dataset, producerTag, len(seg.filters))
+	for _, p := range sortedKeys(lazy) {
+		seg.late = append(seg.late, lazy[p])
+	}
+	c.note("scan %s: vectorized segment (%s producer, %d filters)", ch.scan.Dataset, producerTag, len(seg.selects))
+	if len(seg.late) > 0 && len(seg.selects) > 0 {
+		c.note("scan %s: predicate-first, %d of %d columns decoded only for rows that pass the filters",
+			ch.scan.Dataset, len(seg.late), len(si.pluginFields))
+	}
 	c.vectorized = true
 	return seg, nil
+}
+
+// laneLoaders sets up predicate-first materialization when the plug-in can
+// decode single columns lane by lane (plugin.LaneLoaders): each plug-in
+// field gets a loader, keyed by path, that the driver runs right before the
+// first filter reading the column — or after the cascade, for the rows that
+// survived it. Nil (every column decoded up front) when a cache builder
+// must see whole batches, or the plug-in cannot.
+func (c *Compiler) laneLoaders(si *scanInfo) (map[string]plugin.LaneLoader, error) {
+	ll, ok := si.in.(plugin.LaneLoaders)
+	if !ok || len(si.buildReqs) > 0 || len(si.pluginFields) == 0 {
+		return nil, nil
+	}
+	loaders, err := ll.CompileLaneLoaders(si.ds, c.scanSpec(si, si.pluginFields))
+	if errors.Is(err, plugin.ErrUnsupported) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]plugin.LaneLoader, len(loaders))
+	for i, f := range si.pluginFields {
+		out[pathKey(f.Path)] = loaders[i]
+	}
+	return out, nil
+}
+
+// exprPaths lists the field paths of binding bind that e reads.
+func exprPaths(e expr.Expr, bind string) []string {
+	var out []string
+	expr.Walk(e, func(sub expr.Expr) bool {
+		root, path, ok := expr.PathOf(sub)
+		if ok && root == bind {
+			out = append(out, pathKey(path))
+		}
+		return !ok
+	})
+	return out
 }
 
 // compileBatchProducer asks the plug-in for a native batch scan and falls
@@ -251,8 +321,10 @@ func (c *Compiler) compileBatchProducer(si *scanInfo, spec plugin.ScanSpec, tag 
 
 // compileVecDriver assembles the segment's run function: per batch it
 // overlays cached columns, feeds cache population, runs the filter cascade
-// with per-operator accounting, and hands the surviving selection to
-// terminate (the adapter or a vectorized aggregation).
+// with per-operator accounting — loading each predicate-first column just
+// before its first reader — loads the remaining late columns for the
+// survivors, and hands the selection to terminate (the adapter or a
+// vectorized aggregation).
 //
 // Profiling replicates the tuple path's shape. Untimed mode pays only
 // counter increments: rows-out per filter, batches everywhere, and the
@@ -264,13 +336,13 @@ func (c *Compiler) compileVecDriver(seg *vecSeg, terminate func(b *vbuf.Batch, r
 	batch := seg.batch
 	overlay := seg.overlay
 	builders := seg.builders
-	filters := seg.filters
-	selCells := seg.selCells
+	selects := seg.selects
+	late := seg.late
 	scanCell := c.opCtr(si.s)
 	timing := c.prof != nil && c.prof.timing
 	var tAfter []time.Time
 	if timing {
-		tAfter = make([]time.Time, len(filters))
+		tAfter = make([]time.Time, len(selects))
 	}
 
 	credit := si.credit
@@ -296,9 +368,16 @@ func (c *Compiler) compileVecDriver(seg *vecSeg, terminate func(b *vbuf.Batch, r
 			if scanCell != nil {
 				scanCell.batches++
 			}
-			for i, f := range filters {
-				f(batch)
-				if cell := selCells[i]; cell != nil {
+			// Lane loaders decode only the lanes still selected, so a column
+			// loaded after a filter that emptied the batch costs nothing.
+			for i, sel := range selects {
+				for k, f := range sel.filters {
+					for _, ld := range sel.loads[k] {
+						ld(batch)
+					}
+					f(batch)
+				}
+				if cell := sel.cell; cell != nil {
 					cell.rows += int64(len(batch.Sel))
 					cell.batches++
 				}
@@ -306,13 +385,16 @@ func (c *Compiler) compileVecDriver(seg *vecSeg, terminate func(b *vbuf.Batch, r
 					tAfter[i] = time.Now()
 				}
 			}
+			for _, ld := range late {
+				ld(batch)
+			}
 			err := terminate(batch, r)
 			if timing {
 				end := time.Now()
 				scanCell.nanos += int64(end.Sub(t0))
-				for i, cell := range selCells {
-					if cell != nil {
-						cell.nanos += int64(end.Sub(tAfter[i]))
+				for i, sel := range selects {
+					if sel.cell != nil {
+						sel.cell.nanos += int64(end.Sub(tAfter[i]))
 					}
 				}
 			}

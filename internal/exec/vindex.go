@@ -2,12 +2,13 @@
 // (algebra.Scan.Pushed) to the cache layer's zone maps and bitmap indexes.
 //
 // setupIndexHints runs during scan analysis and produces two closures on the
-// scanInfo: zoneSkip, a window test the full-cache drivers consult to skip
-// 1024-row windows whose zone-map ranges cannot satisfy a pushed predicate,
-// and credit, a run-time notification that feeds the adaptive index-selection
-// policy (cache.Manager.CreditScan). tryBitmapFilter then replaces compare
-// kernels in the vectorized filter cascade with a precomputed-bitmap gather
-// whenever a conjunct's column carries a bitmap index.
+// scanInfo: zoneSkip, a window test the full-cache and binary drivers
+// consult to skip 1024-row windows whose zone-map ranges cannot satisfy a
+// pushed predicate, and credit, a run-time notification that feeds the
+// adaptive index-selection policy (cache.Manager.CreditScan). tryBitmapFilter
+// then replaces compare kernels in the vectorized filter cascade with a
+// precomputed-bitmap gather whenever a conjunct's column carries a bitmap
+// index.
 //
 // Both paths are purely an access-path change: the Select operators above the
 // scan still evaluate their predicates, so a wrong skip or bitmap could only
@@ -19,6 +20,7 @@ import (
 	"proteus/internal/algebra"
 	"proteus/internal/cache"
 	"proteus/internal/expr"
+	"proteus/internal/plugin"
 	"proteus/internal/stats"
 	"proteus/internal/types"
 	"proteus/internal/vbuf"
@@ -94,16 +96,24 @@ func (c *Compiler) estimatePredSel(dataset string, pp algebra.PushedPred) float6
 }
 
 // setupIndexHints matches the scan's pushed predicates against its cached
-// fields and installs the zoneSkip and credit closures. Under parallel
-// compilation only the first worker notifies the policy — the clones compile
-// one logical scan, not N.
+// fields — and, for the rest, against the plug-in's own zone maps when it
+// keeps any (plugin.ZoneMapper: binary columns) — and installs the zoneSkip
+// and credit closures. Under parallel compilation only the first worker
+// notifies the policy — the clones compile one logical scan, not N.
 func (c *Compiler) setupIndexHints(si *scanInfo) {
-	if len(si.s.Pushed) == 0 || len(si.cachedFields) == 0 {
+	zm, _ := si.in.(plugin.ZoneMapper)
+	if len(si.s.Pushed) == 0 || (len(si.cachedFields) == 0 && zm == nil) {
 		return
 	}
 	caches := c.env.Caches
 	primary := c.shared == nil || c.workerID == 0
 
+	type zoneCheck struct {
+		z  *cache.ZoneMaps
+		p  cache.Pred
+		bm *cache.Bitmap // non-nil: precomputed result bitmap for this pred
+	}
+	var checks []zoneCheck
 	type predMatch struct {
 		blk *cache.Block
 		p   cache.Pred
@@ -112,6 +122,10 @@ func (c *Compiler) setupIndexHints(si *scanInfo) {
 	var credited []string
 	seen := map[string]bool{}
 	for _, pp := range si.s.Pushed {
+		p, ok := lowerPred(pp.Op, pp.V)
+		if !ok {
+			continue
+		}
 		var blk *cache.Block
 		for i := range si.cachedFields {
 			if si.cachedFields[i].path == pp.Path {
@@ -120,10 +134,11 @@ func (c *Compiler) setupIndexHints(si *scanInfo) {
 			}
 		}
 		if blk == nil {
-			continue
-		}
-		p, ok := lowerPred(pp.Op, pp.V)
-		if !ok {
+			if zm != nil {
+				if z := zm.ZoneMaps(si.ds, pp.Path); z != nil {
+					checks = append(checks, zoneCheck{z: z, p: p})
+				}
+			}
 			continue
 		}
 		matched = append(matched, predMatch{blk: blk, p: p})
@@ -138,12 +153,6 @@ func (c *Compiler) setupIndexHints(si *scanInfo) {
 		}
 	}
 
-	type zoneCheck struct {
-		z  *cache.ZoneMaps
-		p  cache.Pred
-		bm *cache.Bitmap // non-nil: precomputed result bitmap for this pred
-	}
-	var checks []zoneCheck
 	for _, m := range matched {
 		ck := zoneCheck{z: m.blk.Zones, p: m.p}
 		if ix := m.blk.Index(); ix != nil {
@@ -195,31 +204,29 @@ func (c *Compiler) setupIndexHints(si *scanInfo) {
 	}
 }
 
-// compileSegFilter compiles one Select predicate of a vectorized segment.
-// Top-level conjuncts are split so each can independently take the bitmap
-// path; everything else falls through to the general compare kernels.
-func (c *Compiler) compileSegFilter(si *scanInfo, e expr.Expr) (vecFilter, error) {
-	if x, ok := e.(*expr.BinOp); ok && x.Op == expr.OpAnd {
-		l, err := c.compileSegFilter(si, x.L)
-		if err != nil {
-			return nil, err
+// compileSegFilter compiles one Select predicate of a vectorized segment
+// into one filter per top-level conjunct, so each can independently take
+// the bitmap path (and, predicate-first, load only the columns it reads);
+// everything else falls through to the general compare kernels.
+func (c *Compiler) compileSegFilter(si *scanInfo, e expr.Expr) ([]expr.Expr, []vecFilter, error) {
+	conj := expr.SplitConjuncts(e)
+	filters := make([]vecFilter, len(conj))
+	for i, x := range conj {
+		if f, ok := c.tryBitmapFilter(si, x); ok {
+			filters[i] = f
+			continue
 		}
-		rr, err := c.compileSegFilter(si, x.R)
-		if err != nil {
-			return nil, err
+		if f, ok := c.tryDictFilter(si, x); ok {
+			filters[i] = f
+			continue
 		}
-		return func(b *vbuf.Batch) {
-			l(b)
-			rr(b)
-		}, nil
+		f, err := c.compileVecFilter(x)
+		if err != nil {
+			return nil, nil, err
+		}
+		filters[i] = f
 	}
-	if f, ok := c.tryBitmapFilter(si, e); ok {
-		return f, nil
-	}
-	if f, ok := c.tryDictFilter(si, e); ok {
-		return f, nil
-	}
-	return c.compileVecFilter(e)
+	return conj, filters, nil
 }
 
 // indexedBlockFor resolves a column expression to the scan's cached block

@@ -30,35 +30,36 @@ type SortSpec struct {
 	Limit int
 }
 
-// vecOutCol accumulates one output column across batches. Exactly one of
-// the typed arrays is populated, per the column's kind.
-type vecOutCol struct {
-	kind   types.Kind
-	ints   []int64
-	floats []float64
-	bools  []bool
-	strs   []string
-	nulls  []bool
+// Column is one typed output column of a columnar collect, accumulated
+// across batches and handed to the result unboxed. Exactly one of the typed
+// arrays is populated, per Kind; Nulls has one entry per row.
+type Column struct {
+	Kind   types.Kind
+	Ints   []int64
+	Floats []float64
+	Bools  []bool
+	Strs   []string
+	Nulls  []bool
 }
 
-func (c *vecOutCol) rows() int { return len(c.nulls) }
+func (c *Column) rows() int { return len(c.Nulls) }
 
-func (c *vecOutCol) concat(o *vecOutCol) {
-	c.ints = append(c.ints, o.ints...)
-	c.floats = append(c.floats, o.floats...)
-	c.bools = append(c.bools, o.bools...)
-	c.strs = append(c.strs, o.strs...)
-	c.nulls = append(c.nulls, o.nulls...)
+func (c *Column) concat(o *Column) {
+	c.Ints = append(c.Ints, o.Ints...)
+	c.Floats = append(c.Floats, o.Floats...)
+	c.Bools = append(c.Bools, o.Bools...)
+	c.Strs = append(c.Strs, o.Strs...)
+	c.Nulls = append(c.Nulls, o.Nulls...)
 }
 
-func (c *vecOutCol) clear() {
-	c.ints, c.floats, c.bools, c.strs, c.nulls = nil, nil, nil, nil, nil
+func (c *Column) clear() {
+	c.Ints, c.Floats, c.Bools, c.Strs, c.Nulls = nil, nil, nil, nil, nil
 }
 
 // compare orders two rows of the column exactly like types.Compare orders
 // their boxed values: null first, then the kind's natural order.
-func (c *vecOutCol) compare(a, b int) int {
-	an, bn := c.nulls[a], c.nulls[b]
+func (c *Column) compare(a, b int) int {
+	an, bn := c.Nulls[a], c.Nulls[b]
 	if an || bn {
 		switch {
 		case an == bn:
@@ -69,9 +70,9 @@ func (c *vecOutCol) compare(a, b int) int {
 			return 1
 		}
 	}
-	switch c.kind {
+	switch c.Kind {
 	case types.KindInt:
-		x, y := c.ints[a], c.ints[b]
+		x, y := c.Ints[a], c.Ints[b]
 		switch {
 		case x < y:
 			return -1
@@ -79,7 +80,7 @@ func (c *vecOutCol) compare(a, b int) int {
 			return 1
 		}
 	case types.KindFloat:
-		x, y := c.floats[a], c.floats[b]
+		x, y := c.Floats[a], c.Floats[b]
 		switch {
 		case x < y:
 			return -1
@@ -87,7 +88,7 @@ func (c *vecOutCol) compare(a, b int) int {
 			return 1
 		}
 	case types.KindString:
-		x, y := c.strs[a], c.strs[b]
+		x, y := c.Strs[a], c.Strs[b]
 		switch {
 		case x < y:
 			return -1
@@ -95,7 +96,7 @@ func (c *vecOutCol) compare(a, b int) int {
 			return 1
 		}
 	case types.KindBool:
-		x, y := c.bools[a], c.bools[b]
+		x, y := c.Bools[a], c.Bools[b]
 		switch {
 		case !x && y:
 			return -1
@@ -107,25 +108,25 @@ func (c *vecOutCol) compare(a, b int) int {
 }
 
 // box materializes one row of the column.
-func (c *vecOutCol) box(i int) types.Value {
-	if c.nulls[i] {
+func (c *Column) box(i int) types.Value {
+	if c.Nulls[i] {
 		return types.NullValue()
 	}
-	switch c.kind {
+	switch c.Kind {
 	case types.KindInt:
-		return types.IntValue(c.ints[i])
+		return types.IntValue(c.Ints[i])
 	case types.KindFloat:
-		return types.FloatValue(c.floats[i])
+		return types.FloatValue(c.Floats[i])
 	case types.KindString:
-		return types.StringValue(c.strs[i])
+		return types.StringValue(c.Strs[i])
 	default:
-		return types.BoolValue(c.bools[i])
+		return types.BoolValue(c.Bools[i])
 	}
 }
 
 // vecColAppender evaluates one output field's kernel once per batch and
 // appends the selected lanes onto the partial's column.
-type vecColAppender func(b *vbuf.Batch, col *vecOutCol)
+type vecColAppender func(b *vbuf.Batch, col *Column)
 
 func (c *Compiler) compileVecColAppender(e expr.Expr, kind types.Kind) (vecColAppender, error) {
 	switch kind {
@@ -134,11 +135,11 @@ func (c *Compiler) compileVecColAppender(e expr.Expr, kind types.Kind) (vecColAp
 		if err != nil {
 			return nil, err
 		}
-		return func(b *vbuf.Batch, col *vecOutCol) {
+		return func(b *vbuf.Batch, col *Column) {
 			v, nn := ev(b)
 			for _, j := range b.Sel {
-				col.ints = append(col.ints, v[j])
-				col.nulls = append(col.nulls, nn != nil && nn[j])
+				col.Ints = append(col.Ints, v[j])
+				col.Nulls = append(col.Nulls, nn != nil && nn[j])
 			}
 		}, nil
 	case types.KindFloat:
@@ -146,11 +147,11 @@ func (c *Compiler) compileVecColAppender(e expr.Expr, kind types.Kind) (vecColAp
 		if err != nil {
 			return nil, err
 		}
-		return func(b *vbuf.Batch, col *vecOutCol) {
+		return func(b *vbuf.Batch, col *Column) {
 			v, nn := ev(b)
 			for _, j := range b.Sel {
-				col.floats = append(col.floats, v[j])
-				col.nulls = append(col.nulls, nn != nil && nn[j])
+				col.Floats = append(col.Floats, v[j])
+				col.Nulls = append(col.Nulls, nn != nil && nn[j])
 			}
 		}, nil
 	case types.KindString:
@@ -158,11 +159,11 @@ func (c *Compiler) compileVecColAppender(e expr.Expr, kind types.Kind) (vecColAp
 		if err != nil {
 			return nil, err
 		}
-		return func(b *vbuf.Batch, col *vecOutCol) {
+		return func(b *vbuf.Batch, col *Column) {
 			v, nn := ev(b)
 			for _, j := range b.Sel {
-				col.strs = append(col.strs, v[j])
-				col.nulls = append(col.nulls, nn != nil && nn[j])
+				col.Strs = append(col.Strs, v[j])
+				col.Nulls = append(col.Nulls, nn != nil && nn[j])
 			}
 		}, nil
 	case types.KindBool:
@@ -170,11 +171,11 @@ func (c *Compiler) compileVecColAppender(e expr.Expr, kind types.Kind) (vecColAp
 		if err != nil {
 			return nil, err
 		}
-		return func(b *vbuf.Batch, col *vecOutCol) {
+		return func(b *vbuf.Batch, col *Column) {
 			v, nn := ev(b)
 			for _, j := range b.Sel {
-				col.bools = append(col.bools, v[j])
-				col.nulls = append(col.nulls, nn != nil && nn[j])
+				col.Bools = append(col.Bools, v[j])
+				col.Nulls = append(col.Nulls, nn != nil && nn[j])
 			}
 		}, nil
 	}
@@ -182,11 +183,12 @@ func (c *Compiler) compileVecColAppender(e expr.Expr, kind types.Kind) (vecColAp
 }
 
 // vecCollectPartial is the mergeable state of a columnar bag/list yield:
-// one typed column per output field, sorted and boxed only at result time.
+// one typed column per output field, sorted at result time and boxed only
+// if a caller asks for boxed rows (Result.Box).
 type vecCollectPartial struct {
 	resName  string // the Reduce's synthetic result column name
 	names    []string
-	cols     []*vecOutCol
+	cols     []*Column
 	keyIdx   []int // column indices of the sort keys; nil = no in-program sort
 	desc     []bool
 	limit    int
@@ -222,8 +224,8 @@ func (p *vecCollectPartial) result() (*Result, error) {
 	emit := n
 	var perm []int32
 	if len(p.keyIdx) > 0 {
-		// The permutation and boxed output stand in for the engine's sort
-		// buffer; charge them like the row-wise path would.
+		// The permutation stands in for the engine's sort buffer; charge it
+		// like the row-wise path would.
 		if p.gauge != nil {
 			if err := p.gauge.charge(64 * int64(n)); err != nil {
 				return nil, err
@@ -233,7 +235,7 @@ func (p *vecCollectPartial) result() (*Result, error) {
 		for i := range perm {
 			perm[i] = int32(i)
 		}
-		keys := make([]*vecOutCol, len(p.keyIdx))
+		keys := make([]*Column, len(p.keyIdx))
 		for i, ci := range p.keyIdx {
 			keys[i] = p.cols[ci]
 		}
@@ -256,19 +258,14 @@ func (p *vecCollectPartial) result() (*Result, error) {
 			emit = p.limit
 		}
 	}
-	rows := make([]types.Value, emit)
-	for i := 0; i < emit; i++ {
-		ri := i
-		if perm != nil {
-			ri = int(perm[i])
-		}
-		vals := make([]types.Value, len(p.cols))
-		for f, col := range p.cols {
-			vals[f] = col.box(ri)
-		}
-		rows[i] = types.RecordValue(p.names, vals)
+	// The result takes the columns' current slices; reset gives the state
+	// fresh ones, so a later run of the program never writes under a result
+	// that is still being streamed.
+	cols := make([]Column, len(p.cols))
+	for i, c := range p.cols {
+		cols[i] = *c
 	}
-	return &Result{Cols: []string{p.resName}, Rows: rows}, nil
+	return &Result{Cols: []string{p.resName}, out: &collectRows{fields: p.names, cols: cols, perm: perm, n: emit}}, nil
 }
 
 // tryVecCollect compiles a bag/list Reduce over a vectorizable chain whose
@@ -331,7 +328,7 @@ func (c *Compiler) tryVecCollect(red *algebra.Reduce) (func(r *vbuf.Regs) error,
 			return nil, nil, true, err
 		}
 		appenders[i] = app
-		st.cols = append(st.cols, &vecOutCol{kind: kinds[i]})
+		st.cols = append(st.cols, &Column{Kind: kinds[i]})
 	}
 
 	// Adopt the engine's ORDER BY / LIMIT when every key is one of this

@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
+	"proteus/internal/cache"
 	"proteus/internal/plugin"
 	"proteus/internal/types"
 	"proteus/internal/vbuf"
@@ -39,6 +41,11 @@ type state struct {
 	rowBase  int // offset of row 0
 	rowWidth int
 	heapOff  int
+
+	// zones holds the lazily built zone maps of columnar int/float columns,
+	// keyed by column index (see ZoneMaps).
+	zmu   sync.Mutex
+	zones map[int]*cache.ZoneMaps
 }
 
 func (p *Plugin) state(ds *plugin.Dataset) (*state, error) {
@@ -50,56 +57,18 @@ func (p *Plugin) state(ds *plugin.Dataset) (*state, error) {
 }
 
 // Open implements plugin.Input: parses the header, locates column blobs or
-// row geometry, and samples statistics.
+// row geometry, and samples statistics. The file is untrusted: every offset,
+// length and count it declares is checked against the image before any cell
+// is read, so a damaged or hostile file fails here with an error and every
+// later read is in bounds.
 func (p *Plugin) Open(env *plugin.Env, ds *plugin.Dataset) error {
 	data, err := env.Mem.File(ds.Path)
 	if err != nil {
 		return err
 	}
-	if len(data) < 16 {
-		return fmt.Errorf("binpg: %s: truncated file", ds.Name)
-	}
-	st := &state{data: data}
-	switch {
-	case string(data[:4]) == string(magicColumnar[:]):
-		st.columnar = true
-	case string(data[:4]) == string(magicRow[:]):
-		st.columnar = false
-	default:
-		return fmt.Errorf("binpg: %s: bad magic %q", ds.Name, data[:4])
-	}
-	nCols := int(binary.LittleEndian.Uint32(data[4:]))
-	st.rows = int64(binary.LittleEndian.Uint64(data[8:]))
-	pos := 16
-	fields := make([]types.Field, nCols)
-	for i := 0; i < nCols; i++ {
-		if pos+3 > len(data) {
-			return fmt.Errorf("binpg: %s: truncated header", ds.Name)
-		}
-		t, err := byteKind(data[pos])
-		if err != nil {
-			return err
-		}
-		nameLen := int(binary.LittleEndian.Uint16(data[pos+1:]))
-		pos += 3
-		if pos+nameLen > len(data) {
-			return fmt.Errorf("binpg: %s: truncated column name", ds.Name)
-		}
-		fields[i] = types.Field{Name: string(data[pos : pos+nameLen]), Type: t}
-		pos += nameLen
-	}
-	st.schema = &types.RecordType{Fields: fields}
-	if st.columnar {
-		st.colOff = make([]int, nCols)
-		st.colLen = make([]int, nCols)
-		for i := 0; i < nCols; i++ {
-			st.colOff[i] = int(binary.LittleEndian.Uint64(data[pos+i*16:]))
-			st.colLen[i] = int(binary.LittleEndian.Uint64(data[pos+i*16+8:]))
-		}
-	} else {
-		st.rowBase = pos
-		st.rowWidth = nCols * cellSize
-		st.heapOff = pos + int(st.rows)*st.rowWidth
+	st, err := parse(data)
+	if err != nil {
+		return fmt.Errorf("binpg: %s: %w", ds.Name, err)
 	}
 	ds.State = st
 	if ds.Schema == nil {
@@ -110,7 +79,7 @@ func (p *Plugin) Open(env *plugin.Env, ds *plugin.Dataset) error {
 	tbl := env.Stats.Table(ds.Name)
 	tbl.Rows = st.rows
 	if env.SampleEvery > 0 {
-		for col, f := range fields {
+		for col, f := range st.schema.Fields {
 			if !types.Numeric(f.Type) {
 				continue
 			}
@@ -128,25 +97,153 @@ func (p *Plugin) Open(env *plugin.Env, ds *plugin.Dataset) error {
 	return nil
 }
 
-func (st *state) readInt(col int, row int64) int64 {
-	if st.columnar {
-		return int64(binary.LittleEndian.Uint64(st.data[st.colOff[col]+int(row)*8:]))
+// parse validates a file image and returns its open state.
+func parse(data []byte) (*state, error) {
+	if len(data) < 16 {
+		return nil, fmt.Errorf("truncated file")
 	}
-	return int64(binary.LittleEndian.Uint64(st.data[st.rowBase+int(row)*st.rowWidth+col*8:]))
+	st := &state{data: data}
+	switch {
+	case string(data[:4]) == string(magicColumnar[:]):
+		st.columnar = true
+	case string(data[:4]) == string(magicRow[:]):
+		st.columnar = false
+	default:
+		return nil, fmt.Errorf("bad magic %q", data[:4])
+	}
+	nCols := uint64(binary.LittleEndian.Uint32(data[4:]))
+	rows := binary.LittleEndian.Uint64(data[8:])
+	// Every column needs at least three header bytes, and every row at
+	// least one byte per column, so neither count can exceed the image.
+	if nCols == 0 || nCols > uint64(len(data)-16)/3 {
+		return nil, fmt.Errorf("bad column count %d", nCols)
+	}
+	if rows > uint64(len(data)) {
+		return nil, fmt.Errorf("row count %d exceeds the %d-byte file", rows, len(data))
+	}
+	st.rows = int64(rows)
+	pos := 16
+	fields := make([]types.Field, nCols)
+	for i := range fields {
+		if pos+3 > len(data) {
+			return nil, fmt.Errorf("truncated header")
+		}
+		t, err := byteKind(data[pos])
+		if err != nil {
+			return nil, err
+		}
+		nameLen := int(binary.LittleEndian.Uint16(data[pos+1:]))
+		pos += 3
+		if nameLen > len(data)-pos {
+			return nil, fmt.Errorf("truncated column name")
+		}
+		fields[i] = types.Field{Name: string(data[pos : pos+nameLen]), Type: t}
+		pos += nameLen
+	}
+	st.schema = &types.RecordType{Fields: fields}
+	seen := make(map[string]bool, len(fields))
+	for _, f := range fields {
+		if seen[f.Name] {
+			return nil, fmt.Errorf("duplicate column name %q", f.Name)
+		}
+		seen[f.Name] = true
+	}
+	if st.columnar {
+		return st, st.parseColumns(pos)
+	}
+	return st, st.parseRows(pos)
+}
+
+// parseColumns reads and checks the columnar offset table: each blob lies
+// inside the image and holds exactly rows cells of its kind; a string
+// column's offsets ascend and end inside its byte area.
+func (st *state) parseColumns(pos int) error {
+	data, n := st.data, len(st.schema.Fields)
+	if uint64(n)*16 > uint64(len(data)-pos) {
+		return fmt.Errorf("truncated column offset table")
+	}
+	st.colOff = make([]int, n)
+	st.colLen = make([]int, n)
+	rows := uint64(st.rows)
+	for i, f := range st.schema.Fields {
+		off := binary.LittleEndian.Uint64(data[pos+i*16:])
+		size := binary.LittleEndian.Uint64(data[pos+i*16+8:])
+		if off > uint64(len(data)) || size > uint64(len(data))-off {
+			return fmt.Errorf("column %q: blob [%d, +%d) outside the %d-byte file", f.Name, off, size, len(data))
+		}
+		st.colOff[i], st.colLen[i] = int(off), int(size)
+		switch f.Type.Kind() {
+		case types.KindInt, types.KindFloat, types.KindBool:
+			width := uint64(cellSize)
+			if f.Type.Kind() == types.KindBool {
+				width = 1
+			}
+			if size != rows*width {
+				return fmt.Errorf("column %q: %d bytes for %d rows", f.Name, size, rows)
+			}
+		case types.KindString:
+			if size < (rows+1)*4 {
+				return fmt.Errorf("column %q: %d bytes cannot hold %d string offsets", f.Name, size, rows+1)
+			}
+			blob := data[off : off+size]
+			heap := size - (rows+1)*4
+			prev := uint64(0)
+			for r := uint64(0); r <= rows; r++ {
+				o := uint64(binary.LittleEndian.Uint32(blob[r*4:]))
+				if o < prev || o > heap {
+					return fmt.Errorf("column %q: string offset %d of row %d out of order or past %d", f.Name, o, r, heap)
+				}
+				prev = o
+			}
+		}
+	}
+	return nil
+}
+
+// parseRows checks the row layout: the rows fit the image, and every string
+// cell's (offset, length) lies inside the heap that follows them.
+func (st *state) parseRows(pos int) error {
+	data, n := st.data, len(st.schema.Fields)
+	st.rowBase = pos
+	st.rowWidth = n * cellSize
+	if uint64(st.rows) > uint64(len(data)-pos)/uint64(st.rowWidth) {
+		return fmt.Errorf("%d rows of %d bytes overrun the file", st.rows, st.rowWidth)
+	}
+	st.heapOff = pos + int(st.rows)*st.rowWidth
+	heap := uint64(len(data) - st.heapOff)
+	for col, f := range st.schema.Fields {
+		if f.Type.Kind() != types.KindString {
+			continue
+		}
+		for row := int64(0); row < st.rows; row++ {
+			cell := binary.LittleEndian.Uint64(data[st.rowBase+int(row)*st.rowWidth+col*cellSize:])
+			if off, size := cell>>32, uint64(uint32(cell)); off > heap || size > heap-off {
+				return fmt.Errorf("column %q row %d: string [%d, +%d) outside the %d-byte heap", f.Name, row, off, size, heap)
+			}
+		}
+	}
+	return nil
+}
+
+// cell returns the offset of a fixed-width cell (columnar width bytes, or a
+// row-layout slot).
+func (st *state) cell(col int, row int64, width int) int {
+	if st.columnar {
+		return st.colOff[col] + int(row)*width
+	}
+	return st.rowBase + int(row)*st.rowWidth + col*cellSize
+}
+
+func (st *state) readInt(col int, row int64) int64 {
+	return int64(binary.LittleEndian.Uint64(st.data[st.cell(col, row, cellSize):]))
 }
 
 func (st *state) readFloat(col int, row int64) float64 {
-	if st.columnar {
-		return bitsFloat(binary.LittleEndian.Uint64(st.data[st.colOff[col]+int(row)*8:]))
-	}
-	return bitsFloat(binary.LittleEndian.Uint64(st.data[st.rowBase+int(row)*st.rowWidth+col*8:]))
+	return bitsFloat(binary.LittleEndian.Uint64(st.data[st.cell(col, row, cellSize):]))
 }
 
 func (st *state) readBool(col int, row int64) bool {
-	if st.columnar {
-		return st.data[st.colOff[col]+int(row)] != 0
-	}
-	return st.data[st.rowBase+int(row)*st.rowWidth+col*8] != 0
+	return st.data[st.cell(col, row, 1)] != 0
 }
 
 func (st *state) readString(col int, row int64) string {
@@ -157,7 +254,7 @@ func (st *state) readString(col int, row int64) string {
 		bytesBase := base + (int(st.rows)+1)*4
 		return string(st.data[bytesBase+off : bytesBase+end])
 	}
-	cell := binary.LittleEndian.Uint64(st.data[st.rowBase+int(row)*st.rowWidth+col*8:])
+	cell := binary.LittleEndian.Uint64(st.data[st.cell(col, row, cellSize):])
 	off := int(cell >> 32)
 	n := int(uint32(cell))
 	return string(st.data[st.heapOff+off : st.heapOff+off+n])
@@ -181,7 +278,8 @@ func (p *Plugin) Cardinality(ds *plugin.Dataset) int64 {
 
 // CompileScan implements plugin.Input: the generated loop reads each needed
 // field at a computed memory position, with a per-field closure specialized
-// to the column's type and layout.
+// to the column's type and layout. Windows spec.Skip rules out are never
+// read.
 func (p *Plugin) CompileScan(ds *plugin.Dataset, spec plugin.ScanSpec) (plugin.RunFunc, error) {
 	st, err := p.state(ds)
 	if err != nil {
@@ -203,66 +301,53 @@ func (p *Plugin) CompileScan(ds *plugin.Dataset, spec plugin.ScanSpec) (plugin.R
 			})
 			continue
 		}
-		if len(req.Path) != 1 {
-			return nil, fmt.Errorf("binpg: nested path %q in flat binary dataset %q",
-				plugin.FieldPathString(req.Path), ds.Name)
-		}
-		col := st.schema.Index(req.Path[0])
-		if col < 0 {
-			return nil, fmt.Errorf("binpg: dataset %q has no column %q", ds.Name, req.Path[0])
+		col, err := st.column(ds, req)
+		if err != nil {
+			return nil, err
 		}
 		slot := req.Slot
-		ft := st.schema.Fields[col].Type
-		switch ft.Kind() {
+		switch st.schema.Fields[col].Type.Kind() {
 		case types.KindInt:
-			if slot.Class != vbuf.ClassInt {
-				return nil, fmt.Errorf("binpg: slot class mismatch for %q", req.Path[0])
-			}
 			loaders = append(loaders, func(regs *vbuf.Regs, row int64) {
 				regs.I[slot.Idx] = st.readInt(col, row)
 				regs.Null[slot.Null] = false
 			})
 		case types.KindFloat:
-			if slot.Class != vbuf.ClassFloat {
-				return nil, fmt.Errorf("binpg: slot class mismatch for %q", req.Path[0])
-			}
 			loaders = append(loaders, func(regs *vbuf.Regs, row int64) {
 				regs.F[slot.Idx] = st.readFloat(col, row)
 				regs.Null[slot.Null] = false
 			})
 		case types.KindBool:
-			if slot.Class != vbuf.ClassBool {
-				return nil, fmt.Errorf("binpg: slot class mismatch for %q", req.Path[0])
-			}
 			loaders = append(loaders, func(regs *vbuf.Regs, row int64) {
 				regs.B[slot.Idx] = st.readBool(col, row)
 				regs.Null[slot.Null] = false
 			})
-		case types.KindString:
-			if slot.Class != vbuf.ClassString {
-				return nil, fmt.Errorf("binpg: slot class mismatch for %q", req.Path[0])
-			}
+		default:
 			loaders = append(loaders, func(regs *vbuf.Regs, row int64) {
 				regs.S[slot.Idx] = st.readString(col, row)
 				regs.Null[slot.Null] = false
 			})
-		default:
-			return nil, fmt.Errorf("binpg: unsupported column type %s", ft)
 		}
 	}
 	lo, hi := morselBounds(spec.Morsel, st.rows)
 	oid := spec.OIDSlot
-	cc := spec.Cancel
-	// The cancellation poll is amortized at stride granularity: the inner
-	// loop carries no per-row check at all.
-	run := plugin.RunFunc(func(regs *vbuf.Regs, consume func() error) error {
+	cc, skip, prof := spec.Cancel, spec.Skip, spec.Prof
+	// The cancellation poll and the zone test are amortized at stride
+	// granularity: the inner loop carries no per-row check at all.
+	return func(regs *vbuf.Regs, consume func() error) error {
 		for blk := lo; blk < hi; blk += plugin.CancelStride {
 			if cc.Cancelled() {
 				return cc.Err()
 			}
-			blkEnd := blk + plugin.CancelStride
-			if blkEnd > hi {
-				blkEnd = hi
+			blkEnd := min(blk+plugin.CancelStride, hi)
+			if skip != nil && skip(blk, blkEnd) {
+				continue
+			}
+			if prof != nil {
+				// Fixed-width cells: bytes are cells × cell size.
+				fields := (blkEnd - blk) * int64(len(loaders))
+				prof.FieldsParsed += fields
+				prof.BytesRead += fields * cellSize
 			}
 			for row := blk; row < blkEnd; row++ {
 				if oid != nil {
@@ -278,103 +363,184 @@ func (p *Plugin) CompileScan(ds *plugin.Dataset, spec plugin.ScanSpec) (plugin.R
 			}
 		}
 		return nil
-	})
-	// Profiling deltas (see ScanSpec.Prof): fixed-width cells, so bytes are
-	// cells × cell size; binary needs no structural index (hits stay 0).
-	n := hi - lo
-	if n < 0 {
-		n = 0
-	}
-	fields := n * int64(len(loaders))
-	return spec.Prof.WrapRun(run, fields*cellSize, fields, 0), nil
+	}, nil
 }
 
-// CompileBatchScan implements plugin.BatchScanner: each needed column is
-// filled by a tight per-column decode loop over the batch's row window, so
-// the per-row closure dispatch of the tuple driver disappears. Whole-record
-// requests stay on the tuple path (ErrUnsupported).
+// column resolves a flat field request to its column index, checking the
+// slot class against the column's kind.
+func (st *state) column(ds *plugin.Dataset, req plugin.FieldReq) (int, error) {
+	if len(req.Path) != 1 {
+		return 0, fmt.Errorf("binpg: nested path %q in flat binary dataset %q",
+			plugin.FieldPathString(req.Path), ds.Name)
+	}
+	col := st.schema.Index(req.Path[0])
+	if col < 0 {
+		return 0, fmt.Errorf("binpg: dataset %q has no column %q", ds.Name, req.Path[0])
+	}
+	want := vbuf.ClassString
+	switch st.schema.Fields[col].Type.Kind() {
+	case types.KindInt:
+		want = vbuf.ClassInt
+	case types.KindFloat:
+		want = vbuf.ClassFloat
+	case types.KindBool:
+		want = vbuf.ClassBool
+	}
+	if req.Slot.Class != want {
+		return 0, fmt.Errorf("binpg: slot class mismatch for %q", req.Path[0])
+	}
+	return col, nil
+}
+
+// CompileLaneLoaders implements plugin.LaneLoaders: one loader per field,
+// decoding the column straight from the file image into the batch — a dense
+// copy while the whole batch is selected, a gather of the selected lanes
+// otherwise. Each call charges the cells it decoded to spec.Prof.
+func (p *Plugin) CompileLaneLoaders(ds *plugin.Dataset, spec plugin.ScanSpec) ([]plugin.LaneLoader, error) {
+	st, err := p.state(ds)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]plugin.LaneLoader, 0, len(spec.Fields))
+	for _, req := range spec.Fields {
+		if len(req.Path) != 1 {
+			return nil, plugin.ErrUnsupported
+		}
+		col, err := st.column(ds, req)
+		if err != nil {
+			return nil, err
+		}
+		ld := st.laneLoader(col, req.Slot)
+		if prof := spec.Prof; prof != nil {
+			inner := ld
+			ld = func(b *vbuf.Batch) {
+				inner(b)
+				prof.FieldsParsed += int64(len(b.Sel))
+				prof.BytesRead += int64(len(b.Sel)) * cellSize
+			}
+		}
+		out = append(out, ld)
+	}
+	return out, nil
+}
+
+// laneLoader compiles the decode of one column into a batch slot. Columnar
+// int and float columns, the hot case, decode straight off the column blob;
+// the other kinds and the row layout go through the cell readers.
+func (st *state) laneLoader(col int, slot vbuf.Slot) plugin.LaneLoader {
+	kind := st.schema.Fields[col].Type.Kind()
+	if st.columnar && (kind == types.KindInt || kind == types.KindFloat) {
+		blob := st.data[st.colOff[col] : st.colOff[col]+st.colLen[col]]
+		if kind == types.KindInt {
+			return func(b *vbuf.Batch) {
+				loadInts(b, b.Ints(slot.Idx), blob)
+				b.Null[slot.Null] = nil
+			}
+		}
+		return func(b *vbuf.Batch) {
+			loadFloats(b, b.Floats(slot.Idx), blob)
+			b.Null[slot.Null] = nil
+		}
+	}
+	switch kind {
+	case types.KindInt:
+		return func(b *vbuf.Batch) {
+			loadLanes(b, b.Ints(slot.Idx), func(row int64) int64 { return st.readInt(col, row) })
+			b.Null[slot.Null] = nil
+		}
+	case types.KindFloat:
+		return func(b *vbuf.Batch) {
+			loadLanes(b, b.Floats(slot.Idx), func(row int64) float64 { return st.readFloat(col, row) })
+			b.Null[slot.Null] = nil
+		}
+	case types.KindBool:
+		return func(b *vbuf.Batch) {
+			loadLanes(b, b.Bools(slot.Idx), func(row int64) bool { return st.readBool(col, row) })
+			b.Null[slot.Null] = nil
+		}
+	default:
+		return func(b *vbuf.Batch) {
+			loadLanes(b, b.Strs(slot.Idx), func(row int64) string { return st.readString(col, row) })
+			b.Null[slot.Null] = nil
+		}
+	}
+}
+
+// loadInts decodes little-endian 8-byte int cells of blob into the batch
+// lanes (see plugin.LaneLoader). It and loadFloats are the hot loops of a
+// binary scan, so the decode is spelled out rather than passed as a func.
+func loadInts(b *vbuf.Batch, out []int64, blob []byte) {
+	base := int(b.Base)
+	if b.FullSel() {
+		src := blob[base*cellSize : (base+b.N)*cellSize]
+		for j := range out[:b.N] {
+			out[j] = int64(binary.LittleEndian.Uint64(src[j*cellSize:]))
+		}
+		return
+	}
+	for _, j := range b.Sel {
+		out[j] = int64(binary.LittleEndian.Uint64(blob[(base+int(j))*cellSize:]))
+	}
+}
+
+// loadFloats is loadInts for float cells.
+func loadFloats(b *vbuf.Batch, out []float64, blob []byte) {
+	base := int(b.Base)
+	if b.FullSel() {
+		src := blob[base*cellSize : (base+b.N)*cellSize]
+		for j := range out[:b.N] {
+			out[j] = bitsFloat(binary.LittleEndian.Uint64(src[j*cellSize:]))
+		}
+		return
+	}
+	for _, j := range b.Sel {
+		out[j] = bitsFloat(binary.LittleEndian.Uint64(blob[(base+int(j))*cellSize:]))
+	}
+}
+
+// loadLanes reads rows b.Base+j into the batch lanes (see plugin.LaneLoader).
+func loadLanes[T any](b *vbuf.Batch, out []T, read func(row int64) T) {
+	if b.FullSel() {
+		for j := range out[:b.N] {
+			out[j] = read(b.Base + int64(j))
+		}
+		return
+	}
+	for _, j := range b.Sel {
+		out[j] = read(b.Base + int64(j))
+	}
+}
+
+// CompileBatchScan implements plugin.BatchScanner: the driver walks the
+// scan range in vbuf.BatchSize windows, drops those spec.Skip rules out, and
+// fills each needed column of the rest with its lane loader over the full
+// window. Whole-record requests stay on the tuple path (ErrUnsupported).
 func (p *Plugin) CompileBatchScan(ds *plugin.Dataset, spec plugin.ScanSpec) (plugin.BatchRunFunc, error) {
 	st, err := p.state(ds)
 	if err != nil {
 		return nil, err
 	}
-	type filler func(b *vbuf.Batch, lo, hi int64)
-	fillers := make([]filler, 0, len(spec.Fields))
-	for _, req := range spec.Fields {
-		if len(req.Path) != 1 {
-			return nil, plugin.ErrUnsupported
-		}
-		col := st.schema.Index(req.Path[0])
-		if col < 0 {
-			return nil, fmt.Errorf("binpg: dataset %q has no column %q", ds.Name, req.Path[0])
-		}
-		slot := req.Slot
-		ft := st.schema.Fields[col].Type
-		switch ft.Kind() {
-		case types.KindInt:
-			if slot.Class != vbuf.ClassInt {
-				return nil, fmt.Errorf("binpg: slot class mismatch for %q", req.Path[0])
-			}
-			fillers = append(fillers, func(b *vbuf.Batch, lo, hi int64) {
-				out := b.Ints(slot.Idx)
-				for row := lo; row < hi; row++ {
-					out[row-lo] = st.readInt(col, row)
-				}
-				b.Null[slot.Null] = nil
-			})
-		case types.KindFloat:
-			if slot.Class != vbuf.ClassFloat {
-				return nil, fmt.Errorf("binpg: slot class mismatch for %q", req.Path[0])
-			}
-			fillers = append(fillers, func(b *vbuf.Batch, lo, hi int64) {
-				out := b.Floats(slot.Idx)
-				for row := lo; row < hi; row++ {
-					out[row-lo] = st.readFloat(col, row)
-				}
-				b.Null[slot.Null] = nil
-			})
-		case types.KindBool:
-			if slot.Class != vbuf.ClassBool {
-				return nil, fmt.Errorf("binpg: slot class mismatch for %q", req.Path[0])
-			}
-			fillers = append(fillers, func(b *vbuf.Batch, lo, hi int64) {
-				out := b.Bools(slot.Idx)
-				for row := lo; row < hi; row++ {
-					out[row-lo] = st.readBool(col, row)
-				}
-				b.Null[slot.Null] = nil
-			})
-		case types.KindString:
-			if slot.Class != vbuf.ClassString {
-				return nil, fmt.Errorf("binpg: slot class mismatch for %q", req.Path[0])
-			}
-			fillers = append(fillers, func(b *vbuf.Batch, lo, hi int64) {
-				out := b.Strs(slot.Idx)
-				for row := lo; row < hi; row++ {
-					out[row-lo] = st.readString(col, row)
-				}
-				b.Null[slot.Null] = nil
-			})
-		default:
-			return nil, plugin.ErrUnsupported
-		}
+	loaders, err := p.CompileLaneLoaders(ds, spec)
+	if err != nil {
+		return nil, err
 	}
 	lo, hi := morselBounds(spec.Morsel, st.rows)
 	oid := spec.OIDSlot
-	cc := spec.Cancel
-	run := plugin.BatchRunFunc(func(_ *vbuf.Regs, b *vbuf.Batch, consume func() error) error {
+	cc, skip := spec.Cancel, spec.Skip
+	return func(_ *vbuf.Regs, b *vbuf.Batch, consume func() error) error {
 		for blk := lo; blk < hi; blk += vbuf.BatchSize {
 			if cc.Cancelled() {
 				return cc.Err()
 			}
-			blkEnd := blk + vbuf.BatchSize
-			if blkEnd > hi {
-				blkEnd = hi
-			}
-			for _, fl := range fillers {
-				fl(b, blk, blkEnd)
+			blkEnd := min(blk+vbuf.BatchSize, hi)
+			if skip != nil && skip(blk, blkEnd) {
+				continue
 			}
 			b.Base = blk
+			b.ResetSel(int(blkEnd - blk))
+			for _, ld := range loaders {
+				ld(b)
+			}
 			if oid != nil {
 				out := b.Ints(oid.Idx)
 				for j := range int(blkEnd - blk) {
@@ -382,27 +548,55 @@ func (p *Plugin) CompileBatchScan(ds *plugin.Dataset, spec plugin.ScanSpec) (plu
 				}
 				b.Null[oid.Null] = nil
 			}
-			b.ResetSel(int(blkEnd - blk))
 			if err := consume(); err != nil {
 				return err
 			}
 		}
 		return nil
-	})
-	n := hi - lo
-	if n < 0 {
-		n = 0
+	}, nil
+}
+
+// ZoneMaps implements plugin.ZoneMapper for columnar int and float columns:
+// built from the column blob on the first request, then kept with the open
+// dataset (the file image is immutable). Other columns and the row layout
+// have none.
+func (p *Plugin) ZoneMaps(ds *plugin.Dataset, column string) *cache.ZoneMaps {
+	st, ok := ds.State.(*state)
+	if !ok || !st.columnar {
+		return nil
 	}
-	fields := n * int64(len(fillers))
-	if prof := spec.Prof; prof != nil {
-		inner := run
-		run = func(regs *vbuf.Regs, b *vbuf.Batch, consume func() error) error {
-			prof.BytesRead += fields * cellSize
-			prof.FieldsParsed += fields
-			return inner(regs, b, consume)
+	col := st.schema.Index(column)
+	if col < 0 {
+		return nil
+	}
+	kind := st.schema.Fields[col].Type.Kind()
+	if kind != types.KindInt && kind != types.KindFloat {
+		return nil
+	}
+	st.zmu.Lock()
+	defer st.zmu.Unlock()
+	if z, ok := st.zones[col]; ok {
+		return z
+	}
+	// BuildZones reads a cache block; decode the column into a transient one.
+	blk := &cache.Block{Kind: kind, Rows: st.rows}
+	if kind == types.KindInt {
+		blk.Ints = make([]int64, st.rows)
+		for row := range blk.Ints {
+			blk.Ints[row] = st.readInt(col, int64(row))
+		}
+	} else {
+		blk.Floats = make([]float64, st.rows)
+		for row := range blk.Floats {
+			blk.Floats[row] = st.readFloat(col, int64(row))
 		}
 	}
-	return run, nil
+	z := cache.BuildZones(blk)
+	if st.zones == nil {
+		st.zones = map[int]*cache.ZoneMaps{}
+	}
+	st.zones[col] = z
+	return z
 }
 
 // morselBounds clamps an optional morsel to [0, rows).

@@ -31,6 +31,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"proteus/internal/cache"
 	"proteus/internal/stats"
 	"proteus/internal/storage"
 	"proteus/internal/types"
@@ -178,14 +179,18 @@ type ScanSpec struct {
 	Morsel *Morsel
 	// Prof, when non-nil, receives the plug-in's access counters. The
 	// driver owns it exclusively (one per pipeline clone), so plug-ins add
-	// to it without synchronization — and only once per driver invocation
-	// (per morsel), never per record: counts are derived arithmetically
-	// from the compiled field list and the scanned range.
+	// to it without synchronization — at most once per stride window or
+	// batch, never per record.
 	Prof *ScanProf
 	// Cancel, when non-nil, is the query's cooperative cancellation token.
 	// Drivers poll it between batches of CancelStride records and return
 	// its Err when it fires. A nil token never fires.
 	Cancel *Cancel
+	// Skip, when non-nil, reports that no record in [lo, hi) can satisfy
+	// the query's pushed-down predicates (a zone-map test). Drivers that
+	// honour it drop such CancelStride windows without decoding them; the
+	// caller sets it only when nothing below the filters needs every row.
+	Skip func(lo, hi int64) bool
 }
 
 // ScanProf accumulates a scan plug-in's access counters across the driver
@@ -240,6 +245,29 @@ type BatchRunFunc func(regs *vbuf.Regs, b *vbuf.Batch, consume func() error) err
 // path entirely.
 type BatchScanner interface {
 	CompileBatchScan(ds *Dataset, spec ScanSpec) (BatchRunFunc, error)
+}
+
+// LaneLoader fills one slot's column of b for the records b.Base+j: every
+// lane [0, b.N) while the whole batch is still selected, only the lanes of
+// b.Sel otherwise. It is the late half of predicate-first materialization:
+// the executor runs it after the filters that do not read the column, so a
+// selective filter leaves most of the column undecoded.
+type LaneLoader func(b *vbuf.Batch)
+
+// LaneLoaders is the optional late-materialization capability of a batch
+// scanner: CompileLaneLoaders returns one loader per spec.Fields entry (in
+// order), charging what they decode to spec.Prof. Formats whose records must
+// be parsed whole to reach a field return ErrUnsupported.
+type LaneLoaders interface {
+	CompileLaneLoaders(ds *Dataset, spec ScanSpec) ([]LaneLoader, error)
+}
+
+// ZoneMapper is the optional zone-map capability of an input plug-in:
+// per-ZoneSize-record min/max of a column, for skipping windows a pushed
+// predicate cannot match (ScanSpec.Skip). It returns nil when the column
+// has none.
+type ZoneMapper interface {
+	ZoneMaps(ds *Dataset, column string) *cache.ZoneMaps
 }
 
 // BatchFromTuples lifts a tuple scan driver into a batch driver: it runs

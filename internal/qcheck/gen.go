@@ -24,8 +24,10 @@ package qcheck
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
+	"proteus/internal/cache"
 	"proteus/internal/plugin"
 	"proteus/internal/types"
 )
@@ -53,6 +55,15 @@ type qColumn struct {
 	// writes numbers — 7, not 7.0 — whose first row is integral and whose
 	// second is fractional: typing it from the first object alone reads Int.
 	Bare bool
+	// Asc marks the binary column whose values rise with the row ordinal,
+	// so a range on it lets the plug-in's zone maps skip whole windows.
+	Asc bool
+	// NaNZones marks the binary float column whose zones are each all NaN,
+	// part NaN or NaN-free. NaN orders unlike any value (the oracle's
+	// three-way compare even calls it equal to everything), so the column
+	// stays out of query scope: only < and > ranges reach it, and on those
+	// every engine mode and the oracle agree.
+	NaNZones bool
 }
 
 // nestedCol is the optional nested list-of-records column of a JSON table.
@@ -250,6 +261,11 @@ func genTable(r *rand.Rand, name, format string) *qTable {
 		}
 		t.Cols = append(t.Cols, c)
 	}
+	if format == "bin" {
+		t.Cols = append(t.Cols,
+			qColumn{Name: "ka", Kind: types.KindInt, Asc: true},
+			qColumn{Name: "fz", Kind: types.KindFloat, NaNZones: true})
+	}
 	if format == "json" {
 		t.Cols = append(t.Cols, qColumn{Name: "vw", Kind: types.KindFloat, Bare: true})
 		if r.Intn(2) == 0 {
@@ -291,12 +307,29 @@ func genTable(r *rand.Rand, name, format string) *qTable {
 	default:
 		n = 2 + r.Intn(39)
 	}
+	if format == "bin" && r.Intn(3) == 0 {
+		// Several zones, so ranges on the ascending column skip some.
+		n = cache.ZoneSize + 1 + r.Intn(2*cache.ZoneSize)
+	}
+	ascStart, ascStep := int64(r.Intn(101)-50), int64(1+r.Intn(3))
+	nanMode := 0
 	names := t.Schema.Names()
 	for i := 0; i < n; i++ {
+		if i%cache.ZoneSize == 0 {
+			nanMode = r.Intn(3) // 0: all NaN, 1: one row in four, 2: none
+		}
 		vals := make([]types.Value, 0, len(names))
 		for _, c := range t.Cols {
 			if c.NullProb > 0 && r.Float64() < c.NullProb {
 				vals = append(vals, types.NullValue())
+				continue
+			}
+			if c.Asc {
+				vals = append(vals, types.IntValue(ascStart+int64(i)*ascStep))
+				continue
+			}
+			if c.NaNZones && (nanMode == 0 || nanMode == 1 && r.Intn(4) == 0) {
+				vals = append(vals, types.FloatValue(math.NaN()))
 				continue
 			}
 			if c.Bare && i < 2 {

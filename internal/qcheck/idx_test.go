@@ -63,3 +63,32 @@ func TestIndexEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestBinaryZoneSkipsExercised guards the generator, not the engine: at the
+// CI seed the differential run must reach binary zone skipping — ranges on
+// the ascending column over multi-zone binary tables — or the matrix would
+// pass without ever testing it.
+func TestBinaryZoneSkipsExercised(t *testing.T) {
+	opts := Options{Seed: 20260805, Universes: 8, Queries: 66} // the CI smoke run
+	var skips int64
+	for i := 0; i < opts.Universes; i++ {
+		useed := mix(opts.Seed, int64(i))
+		u, err := genUniverse(useed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := buildEngine(engine.Config{Parallelism: 1, Vectorized: exec.VecOn, PlanCacheSize: -1}, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for q := 0; q < opts.Queries; q++ {
+			spec := genQuery(mix(useed, int64(q)), u)
+			_, _ = runEngineQuery(e, spec.lang, spec.render()) // correctness is TestQCheck's job
+		}
+		skips += e.Caches().Snapshot().ZoneSkips
+	}
+	if skips == 0 {
+		t.Fatal("no generated query skipped a binary zone")
+	}
+	t.Logf("%d zone skips", skips)
+}

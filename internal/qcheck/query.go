@@ -141,6 +141,9 @@ func genQuery(seed int64, u *universe) *querySpec {
 			q.where = append(q.where, bp)
 		}
 	}
+	// Binary tables: a range over the ascending column, which zone maps
+	// answer window by window, and a NaN-safe range over the NaN-zoned one.
+	q.where = append(q.where, genZoneRanges(r, t0, "a")...)
 
 	// Shape.
 	switch {
@@ -229,6 +232,9 @@ func (q *querySpec) orderableCols() []string {
 func tableScope(alias string, t *qTable) []colRef {
 	var out []colRef
 	for _, c := range t.Cols {
+		if c.NaNZones {
+			continue // reached only through genZoneRanges
+		}
 		out = append(out, colRef{
 			alias: alias, name: c.Name, kind: c.Kind, key: c.Key,
 			str: c.Kind == types.KindString,
@@ -332,7 +338,7 @@ var cmpOps = []expr.BinKind{expr.OpEq, expr.OpNe, expr.OpLt, expr.OpLe, expr.OpG
 func genBoundaryPred(r *rand.Rand, t *qTable, alias string) expr.Expr {
 	var cands []qColumn
 	for _, c := range t.Cols {
-		if c.Kind == types.KindInt || c.Kind == types.KindFloat {
+		if (c.Kind == types.KindInt || c.Kind == types.KindFloat) && !c.NaNZones {
 			cands = append(cands, c)
 		}
 	}
@@ -364,6 +370,34 @@ func genBoundaryPred(r *rand.Rand, t *qTable, alias string) expr.Expr {
 	}
 	op := cmpOps[r.Intn(len(cmpOps))]
 	return &expr.BinOp{Op: op, L: fa(alias, c.Name), R: &expr.Const{V: bound}}
+}
+
+// genZoneRanges draws, for a table with an ascending column, half the time
+// a window lo <= ka < hi over (and past) its values, and a third of the time
+// fz < c or fz > c over the NaN-zoned column — the only comparisons whose
+// NaN semantics the oracle shares.
+func genZoneRanges(r *rand.Rand, t *qTable, alias string) []expr.Expr {
+	var out []expr.Expr
+	for _, c := range t.Cols {
+		switch {
+		case c.Asc && r.Intn(2) == 0:
+			var lo, hi int64
+			if n := len(t.Rows); n > 0 {
+				first, _ := t.Rows[0].Field(c.Name)
+				last, _ := t.Rows[n-1].Field(c.Name)
+				span := last.I - first.I + 1
+				lo = first.I - 2 + r.Int63n(span+4)
+				hi = lo + r.Int63n(span/2+2)
+			}
+			out = append(out,
+				&expr.BinOp{Op: expr.OpGe, L: fa(alias, c.Name), R: &expr.Const{V: types.IntValue(lo)}},
+				&expr.BinOp{Op: expr.OpLt, L: fa(alias, c.Name), R: &expr.Const{V: types.IntValue(hi)}})
+		case c.NaNZones && r.Intn(3) == 0:
+			op := []expr.BinKind{expr.OpLt, expr.OpGt}[r.Intn(2)]
+			out = append(out, &expr.BinOp{Op: op, L: fa(alias, c.Name), R: &expr.Const{V: types.FloatValue(genFloat(r))}})
+		}
+	}
+	return out
 }
 
 // genPred builds a boolean predicate over the scope.

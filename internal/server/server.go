@@ -36,9 +36,9 @@ import (
 
 	"proteus"
 	"proteus/internal/cluster"
+	"proteus/internal/engine"
 	"proteus/internal/exec"
 	"proteus/internal/obs"
-	"proteus/internal/types"
 )
 
 // Config tunes a Server.
@@ -272,7 +272,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	ctx := proteus.WithQueryTag(r.Context(), reqID)
 	start := time.Now()
-	res, err := s.db.QueryContext(ctx, query)
+	lang := engine.LangSQL
+	if proteus.IsComprehension(query) {
+		lang = engine.LangComp
+	}
+	res, err := s.db.Engine().QueryStream(ctx, lang, query)
 	if err != nil {
 		t.errors.Add(1)
 		if errors.Is(err, context.Canceled) {
@@ -290,16 +294,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	rc := http.NewResponseController(w)
 	bw := bufio.NewWriterSize(w, 32<<10)
 
-	// Column names: record-shaped rows carry their own field names (the
-	// engine's Cols is the single label "result" for bare projections);
-	// scalar rows stream under that label as one-key objects.
+	// Column names: record-shaped rows carry field names (the engine's Cols
+	// is the single label "result" for bare projections), known from the
+	// compiled yield even when no row qualifies; scalar rows stream under
+	// that label as one-key objects.
 	cols := res.Cols
 	scalarCol := "result"
 	if len(cols) == 1 {
 		scalarCol = cols[0]
 	}
-	if len(res.Rows) > 0 && res.Rows[0].Kind == types.KindRecord && res.Rows[0].Rec != nil {
-		cols = res.Rows[0].Rec.Names
+	fields := res.FieldNames()
+	if fields != nil {
+		cols = fields
 	}
 	head, _ := json.Marshal(struct {
 		Cols      []string `json:"cols"`
@@ -313,27 +319,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if chunk <= 0 {
 		chunk = s.chunkRows
 	}
+	enc := newRowEncoder(scalarCol, fields)
 	var streamed int64
-	var rowBuf []byte
-	streamErr := res.StreamChunks(ctx, chunk, func(rows []types.Value) error {
-		for _, row := range rows {
-			rowBuf = rowBuf[:0]
-			if row.Kind == types.KindRecord {
-				rowBuf = appendValueJSON(rowBuf, row)
-			} else {
-				// Scalar row: wrap so every row line is a JSON object.
-				rowBuf = append(rowBuf, '{')
-				rowBuf = appendJSONString(rowBuf, scalarCol)
-				rowBuf = append(rowBuf, ':')
-				rowBuf = appendValueJSON(rowBuf, row)
-				rowBuf = append(rowBuf, '}')
-			}
-			rowBuf = append(rowBuf, '\n')
-			if _, err := bw.Write(rowBuf); err != nil {
-				return err
-			}
+	var buf []byte
+	streamErr := res.StreamChunks(ctx, chunk, func(c exec.Chunk) error {
+		buf = enc.appendChunk(buf[:0], c)
+		if _, err := bw.Write(buf); err != nil {
+			return err
 		}
-		streamed += int64(len(rows))
+		streamed += int64(c.Len())
 		if err := bw.Flush(); err != nil {
 			return err
 		}

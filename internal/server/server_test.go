@@ -20,6 +20,7 @@ import (
 
 	"proteus"
 	"proteus/internal/plugin"
+	"proteus/internal/plugin/binpg"
 	"proteus/internal/types"
 	"proteus/internal/vbuf"
 )
@@ -193,6 +194,39 @@ func TestServerStreamsNDJSON(t *testing.T) {
 	}
 	if lines[1]["a"] != float64(1) || lines[1]["b"] != "x" {
 		t.Fatalf("first row = %v", lines[1])
+	}
+}
+
+// TestServerEmptyResultHead: the head line names the projected columns
+// whether or not any row qualifies — on the tuple path (the CSV table is too
+// small to vectorize) and on the columnar one.
+func TestServerEmptyResultHead(t *testing.T) {
+	_, ts, db := testService(t, Config{}, 1, 0)
+	cols := []binpg.Column{{Name: "a", Type: types.Int}, {Name: "b", Type: types.String}}
+	for i := 0; i < 3000; i++ {
+		cols[0].Ints = append(cols[0].Ints, int64(i))
+		cols[1].Strs = append(cols[1].Strs, "x")
+	}
+	bin, err := binpg.EncodeColumnar(cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RegisterInMemory("tb", bin, "bin", nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"SELECT a, b FROM t WHERE a > 100",
+		"SELECT a, b FROM t WHERE a > 1",
+		"SELECT b, a FROM tb WHERE a > 100000",
+		"SELECT b, a FROM tb WHERE a > 2990",
+	} {
+		resp := postQuery(t, ts, fmt.Sprintf(`{"query":%q}`, q), nil)
+		lines := ndjson(t, resp.Body)
+		resp.Body.Close()
+		want := fmt.Sprint(strings.Fields(strings.NewReplacer(",", " ").Replace(q[len("SELECT "):strings.Index(q, " FROM")])))
+		if got := fmt.Sprint(lines[0]["cols"]); got != want {
+			t.Errorf("%s: head cols %s, want %s", q, got, want)
+		}
 	}
 }
 

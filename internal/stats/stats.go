@@ -74,8 +74,13 @@ func (t *Table) Range(name string) (min, max float64, ok bool) {
 
 // Observe folds one numeric observation into the column's range. It is not
 // synchronized; single-writer phases (the cold scan building a dataset's
-// index) use it directly, everything else goes through Table.Observe.
+// index) use it directly, everything else goes through Table.Observe. NaN
+// has no place in an order and is ignored: a NaN bound would turn every
+// selectivity estimate over the column into NaN.
 func (c *Column) Observe(v float64) {
+	if v != v {
+		return
+	}
 	if !c.HasRange {
 		c.Min, c.Max, c.HasRange = v, v, true
 		return

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -597,7 +598,7 @@ func (e *Engine) prepare(ctx context.Context, lang, query string, level profLeve
 			if err := prog.ChargeMem(64 * int64(res.Len())); err != nil {
 				return nil, err
 			}
-			return orderAndLimit(res.Box(), orderBy, desc, limit)
+			return orderAndLimit(res, orderBy, desc, limit)
 		})
 	}
 	return &Prepared{Plan: plan, Program: prog, Sort: sortSpec}, nil
@@ -714,19 +715,14 @@ func sortSpecOf(c *calculus.Comprehension) *exec.SortSpec {
 }
 
 // orderAndLimit validates the ORDER BY columns against the result shape and
-// delegates the sort and truncation to exec.OrderAndLimit's columnar index
-// sort.
+// delegates the ordering and the cut to exec.OrderAndLimit, which keeps a
+// columnar result columnar.
 func orderAndLimit(res *exec.Result, orderBy []string, desc []bool, limit int) (*exec.Result, error) {
 	// Output rows are records carrying the select-list names (bag yields
-	// report a single synthetic column, so validate against an actual row
-	// when one exists).
+	// report a single synthetic column, so validate against the record
+	// fields, from the compiled yield or an actual row).
 	for _, col := range orderBy {
-		found := false
-		for _, c := range res.Cols {
-			if c == col {
-				found = true
-			}
-		}
+		found := slices.Contains(res.Cols, col) || slices.Contains(res.FieldNames(), col)
 		if !found && len(res.Rows) > 0 {
 			_, found = res.Rows[0].Field(col)
 		}
@@ -734,7 +730,7 @@ func orderAndLimit(res *exec.Result, orderBy []string, desc []bool, limit int) (
 			// An empty result has no rows to validate the column against
 			// (bag yields report a synthetic column name); sorting zero
 			// rows is a no-op, not an error.
-			if len(res.Rows) == 0 {
+			if res.Len() == 0 {
 				continue
 			}
 			return nil, fmt.Errorf("engine: ORDER BY column %q is not in the output (%v)", col, res.Cols)

@@ -544,6 +544,40 @@ func TestVectorizedSortMemBudget(t *testing.T) {
 	}
 }
 
+func TestVectorizedTopKMemBudget(t *testing.T) {
+	// The 64 KiB budget TestVectorizedSortMemBudget exceeds with a full
+	// sort holds a LIMIT 10 over the same 3000 rows: the top-k charges only
+	// the rows it keeps.
+	e := newVecEngine(t, Config{Parallelism: 1, Vectorized: exec.VecOn, QueryMemBudget: 64 << 10})
+	const q = "SELECT id, val FROM big ORDER BY val LIMIT 10"
+	res, err := e.QuerySQL(q)
+	if err != nil {
+		t.Fatalf("top-k under the budget: %v", err)
+	}
+	want, err := newVecEngine(t, Config{Parallelism: 1, Vectorized: exec.VecOff}).QuerySQL(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(res.Rows) != fmt.Sprint(want.Rows) || len(res.Rows) != 10 {
+		t.Fatalf("top-k rows %v, tuple rows %v", res.Rows, want.Rows)
+	}
+	p, err := e.PrepareSQL(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if explain := p.Explain(); !strings.Contains(explain, "top-k (limit 10)") {
+		t.Errorf("EXPLAIN does not name the top-k:\n%s", explain)
+	}
+	// The collect's row count is the rows that reached it, not the ten kept.
+	_, qp, err := e.ExplainAnalyzeSQL(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := obs.RenderProfile(qp); !strings.Contains(out, "Reduce bag(<id: big.id, val: big.val>)  (rows=3000 ") {
+		t.Errorf("analyze output does not count the 3000 rows the top-k saw:\n%s", out)
+	}
+}
+
 // TestVectorizedProfileCountsRows: EXPLAIN ANALYZE row counts stay
 // per-tuple-accurate in batch mode, and batch counters populate.
 func TestVectorizedProfileCountsRows(t *testing.T) {

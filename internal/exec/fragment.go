@@ -131,21 +131,20 @@ func partsOf[S any](states []S, part func(S) any) []any {
 	return out
 }
 
-func accPart(a *accumulator) any    { return a.partial() }
-func vecPart(s vecAggState) any     { return s.partial() }
-func groupPart(s vecGroupState) any { return s.partial() }
+func accPart(a *accumulator) any { return a.partial() }
 
 // intKeysPartial fills in the group_int frame both single-int-key states
-// serialize to: the NULL-key group first (when seen), then the keys in
-// first-encounter order.
-func intKeysPartial[S any](p *Partial, null []S, order []int64, groups map[int64][]S, part func(S) any) *Partial {
+// serialize to: the NULL-key group first (when nullAggs is non-nil), then
+// the keys in first-encounter order, aggs(i) being the accumulator
+// partials of keys[i].
+func intKeysPartial(p *Partial, nullAggs []any, keys []int64, aggs func(i int) []any) *Partial {
 	p.Shape, p.NumKeys = ShapeGroupInt, 1
-	p.Groups = make([]WireGroup, 0, len(order)+1)
-	if null != nil {
-		p.Groups = append(p.Groups, WireGroup{Keys: []types.Value{types.NullValue()}, Aggs: partsOf(null, part)})
+	p.Groups = make([]WireGroup, 0, len(keys)+1)
+	if nullAggs != nil {
+		p.Groups = append(p.Groups, WireGroup{Keys: []types.Value{types.NullValue()}, Aggs: nullAggs})
 	}
-	for _, k := range order {
-		p.Groups = append(p.Groups, WireGroup{Keys: []types.Value{types.IntValue(k)}, Aggs: partsOf(groups[k], part)})
+	for i, k := range keys {
+		p.Groups = append(p.Groups, WireGroup{Keys: []types.Value{types.IntValue(k)}, Aggs: aggs(i)})
 	}
 	return p
 }
@@ -214,14 +213,30 @@ func encodePartial(st partialState, fp string, topK *SortSpec, mem *memGauge) (*
 		}
 		return &Partial{Shape: ShapeAgg, Names: s.names, Fingerprint: fp, Aggs: partsOf(s.accs, accPart)}, nil
 	case *vecReducePartial:
-		return &Partial{Shape: ShapeAgg, Names: s.names, Fingerprint: fp, Aggs: partsOf(s.states, vecPart)}, nil
+		return &Partial{Shape: ShapeAgg, Names: s.names, Fingerprint: fp, Aggs: partsOf(s.aggs, func(a aggColumn) any { return a.part(0) })}, nil
 	case *vecNestPartial:
 		p := &Partial{Names: s.outNames, Fingerprint: fp}
-		return intKeysPartial(p, s.nullGroup, s.order, s.groups, groupPart), nil
+		groupAggs := func(g int32) []any { return partsOf(s.aggs, func(a aggColumn) any { return a.part(g) }) }
+		var nullAggs []any
+		gids, keys := make([]int32, 0, len(s.keys)), make([]int64, 0, len(s.keys))
+		for g, k := range s.keys {
+			if g := int32(g); g == s.nullGid {
+				nullAggs = groupAggs(g)
+			} else {
+				gids, keys = append(gids, g), append(keys, k)
+			}
+		}
+		return intKeysPartial(p, nullAggs, keys, func(i int) []any { return groupAggs(gids[i]) }), nil
 	case *nestPartial:
 		p := &Partial{Names: s.outNames, Fingerprint: fp}
 		if s.singleInt {
-			return intKeysPartial(p, s.intNull, s.intOrder, s.intGroups, accPart), nil
+			var nullAggs []any
+			if s.intNull != nil {
+				nullAggs = partsOf(s.intNull, accPart)
+			}
+			return intKeysPartial(p, nullAggs, s.intOrder, func(i int) []any {
+				return partsOf(s.intGroups[s.intOrder[i]], accPart)
+			}), nil
 		}
 		p.Shape, p.NumKeys = ShapeGroup, s.numKeys
 		p.Groups = make([]WireGroup, len(s.order))

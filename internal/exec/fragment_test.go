@@ -169,7 +169,7 @@ func newTestCatalog(t testing.TB) *testCatalog {
 func render(res *Result) string {
 	var sb strings.Builder
 	fmt.Fprintln(&sb, res.Cols)
-	for _, row := range res.Rows {
+	for _, row := range res.Box().Rows {
 		fmt.Fprintln(&sb, row)
 	}
 	return sb.String()

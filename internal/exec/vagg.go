@@ -1,14 +1,18 @@
 // Vectorized aggregation: when the root Reduce/Nest sits directly on a
 // vectorizable chain, the fold consumes whole batches — the segment never
-// crosses the batch→tuple boundary at all. Partial states mirror the tuple
-// monoids exactly (same fold order, same combine functions), so results are
-// bit-identical and parallel merging is unchanged.
+// crosses the batch→tuple boundary at all. Each aggregate is one typed
+// accumulator column indexed by group id: a Nest maps every lane's key to
+// its group's dense id and each aggregate folds the batch in one loop over
+// those ids; an ungrouped Reduce is the same with a single group. The
+// accumulators mirror the tuple monoids exactly (same fold order, same
+// identities and combine functions), so results are bit-identical, parallel
+// merging is unchanged and fragments encode the same frames.
 package exec
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 
 	"proteus/internal/algebra"
 	"proteus/internal/expr"
@@ -16,110 +20,233 @@ import (
 	"proteus/internal/vbuf"
 )
 
-// vecAggState is one ungrouped aggregate folding batches. reset zeroes in
-// place (the fold closures captured the state pointer at compile time);
-// partial/absorb reuse the tuple monoids' partial types.
-type vecAggState interface {
-	reset()
-	fold(b *vbuf.Batch)
-	result() types.Value
-	partial() any
-	absorb(p any)
+// aggColumn is one aggregate's accumulators, one per group, indexed by
+// dense group id. Its wire partials and the identities fresh groups start
+// from are the tuple monoids', so both styles encode the same frames.
+type aggColumn interface {
+	grow()                            // appends a fresh accumulator for a new group
+	fold(b *vbuf.Batch, gids []int32) // gids[i] is the group of lane b.Sel[i]
+	absorb(o aggColumn, dst []int32)  // folds o's group g into group dst[g]
+	part(g int32) any                 // the wire partial of group g
+	column(order []int32) Column      // the result column, groups in order
+	truncate()                        // drops every group
 }
 
-// vecCount counts selected rows (COUNT ignores its argument, like the
-// tuple accumulator).
-type vecCount struct{ n int64 }
+type countColumn struct{ n []int64 }
 
-func (s *vecCount) reset()              { s.n = 0 }
-func (s *vecCount) fold(b *vbuf.Batch)  { s.n += int64(len(b.Sel)) }
-func (s *vecCount) result() types.Value { return types.IntValue(s.n) }
-func (s *vecCount) partial() any        { return s.n }
-func (s *vecCount) absorb(p any)        { s.n += p.(int64) }
+func (s *countColumn) grow()     { s.n = append(s.n, 0) }
+func (s *countColumn) truncate() { s.n = s.n[:0] }
 
-// vecScalar is sum/min/max over one scalar column type. Folding follows the
-// selection vector in row order with the same first-seen/combine protocol as
-// scalarAccumulator, so float results match the tuple path exactly.
-type vecScalar[T int64 | float64 | string] struct {
+func (s *countColumn) fold(b *vbuf.Batch, gids []int32) {
+	if len(s.n) == 1 { // one group: every lane is in it
+		s.n[0] += int64(len(gids))
+		return
+	}
+	for _, g := range gids {
+		s.n[g]++
+	}
+}
+
+func (s *countColumn) absorb(o aggColumn, dst []int32) {
+	for g, d := range dst {
+		s.n[d] += o.(*countColumn).n[g]
+	}
+}
+
+func (s *countColumn) part(g int32) any { return s.n[g] }
+
+func (s *countColumn) column(order []int32) Column {
+	c := Column{Kind: types.KindInt, Ints: make([]int64, len(order)), Nulls: make([]bool, len(order))}
+	for i, g := range order {
+		c.Ints[i] = s.n[g]
+	}
+	return c
+}
+
+// scalarColumn is SUM, MIN or MAX over one scalar type, with the tuple
+// accumulator's first-seen protocol and combine function (nil: SUM).
+type scalarColumn[T int64 | float64 | string] struct {
 	ev      func(b *vbuf.Batch) ([]T, []bool)
 	combine func(a, v T) T
-	box     func(T) types.Value
-	st      scalarPart[T]
+	zero    T // the tuple accumulator's initial value, which an unseen group carries
+	kind    types.Kind
+	v       []T
+	seen    []bool
 }
 
-func (s *vecScalar[T]) reset() { s.st = scalarPart[T]{} }
+func (s *scalarColumn[T]) grow() {
+	s.v = append(s.v, s.zero)
+	s.seen = append(s.seen, false)
+}
 
-func (s *vecScalar[T]) fold(b *vbuf.Batch) {
+func (s *scalarColumn[T]) truncate() { s.v, s.seen = s.v[:0], s.seen[:0] }
+
+func (s *scalarColumn[T]) add(g int32, x T) {
+	switch {
+	case !s.seen[g]:
+		s.v[g], s.seen[g] = x, true
+	case s.combine == nil:
+		s.v[g] += x
+	default:
+		s.v[g] = s.combine(s.v[g], x)
+	}
+}
+
+func (s *scalarColumn[T]) fold(b *vbuf.Batch, gids []int32) {
 	v, nn := s.ev(b)
-	for _, j := range b.Sel {
-		if nn != nil && nn[j] {
-			continue
+	acc, seen, combine := s.v, s.seen, s.combine
+	if len(acc) == 1 { // one group: fold in a local, not through memory
+		x, ok := acc[0], seen[0]
+		for _, j := range b.Sel {
+			switch {
+			case nn != nil && nn[j]:
+			case !ok:
+				x, ok = v[j], true
+			case combine == nil:
+				x += v[j]
+			default:
+				x = combine(x, v[j])
+			}
 		}
-		if !s.st.seen {
-			s.st.v = v[j]
-			s.st.seen = true
-			continue
-		}
-		s.st.v = s.combine(s.st.v, v[j])
-	}
-}
-
-func (s *vecScalar[T]) result() types.Value {
-	if !s.st.seen {
-		return types.NullValue()
-	}
-	return s.box(s.st.v)
-}
-
-func (s *vecScalar[T]) partial() any { return s.st }
-
-func (s *vecScalar[T]) absorb(p any) {
-	o := p.(scalarPart[T])
-	if !o.seen {
+		acc[0], seen[0] = x, ok
 		return
 	}
-	if !s.st.seen {
-		s.st = o
-		return
+	for i, j := range b.Sel {
+		switch g := gids[i]; {
+		case nn != nil && nn[j]:
+		case !seen[g]:
+			acc[g], seen[g] = v[j], true
+		case combine == nil:
+			acc[g] += v[j]
+		default:
+			acc[g] = combine(acc[g], v[j])
+		}
 	}
-	s.st.v = s.combine(s.st.v, o.v)
 }
 
-// vecAvg folds AVG as (sum, count), merged before the quotient.
-type vecAvg struct {
-	ev vecFloat
-	st avgPart
+func (s *scalarColumn[T]) absorb(o aggColumn, dst []int32) {
+	other := o.(*scalarColumn[T])
+	for g, d := range dst {
+		if other.seen[g] {
+			s.add(d, other.v[g])
+		}
+	}
 }
 
-func (s *vecAvg) reset() { s.st = avgPart{} }
+func (s *scalarColumn[T]) part(g int32) any { return scalarPart[T]{v: s.v[g], seen: s.seen[g]} }
 
-func (s *vecAvg) fold(b *vbuf.Batch) {
+func (s *scalarColumn[T]) column(order []int32) Column {
+	vals, nulls := make([]T, len(order)), make([]bool, len(order))
+	for i, g := range order {
+		vals[i], nulls[i] = s.v[g], !s.seen[g]
+	}
+	c := Column{Kind: s.kind, Nulls: nulls}
+	switch vs := any(vals).(type) {
+	case []int64:
+		c.Ints = vs
+	case []float64:
+		c.Floats = vs
+	case []string:
+		c.Strs = vs
+	}
+	return c
+}
+
+// avgColumn folds AVG as (sum, count), merged before the quotient.
+type avgColumn struct {
+	ev  vecFloat
+	sum []float64
+	n   []int64
+}
+
+func (s *avgColumn) grow() {
+	s.sum = append(s.sum, 0)
+	s.n = append(s.n, 0)
+}
+
+func (s *avgColumn) truncate() { s.sum, s.n = s.sum[:0], s.n[:0] }
+
+func (s *avgColumn) fold(b *vbuf.Batch, gids []int32) {
 	v, nn := s.ev(b)
-	for _, j := range b.Sel {
-		if nn != nil && nn[j] {
+	for i, j := range b.Sel {
+		if nn == nil || !nn[j] {
+			g := gids[i]
+			s.sum[g] += v[j]
+			s.n[g]++
+		}
+	}
+}
+
+func (s *avgColumn) absorb(o aggColumn, dst []int32) {
+	other := o.(*avgColumn)
+	for g, d := range dst {
+		s.sum[d] += other.sum[g]
+		s.n[d] += other.n[g]
+	}
+}
+
+func (s *avgColumn) part(g int32) any { return avgPart{sum: s.sum[g], n: s.n[g]} }
+
+func (s *avgColumn) column(order []int32) Column {
+	c := Column{Kind: types.KindFloat, Floats: make([]float64, len(order)), Nulls: make([]bool, len(order))}
+	for i, g := range order {
+		if s.n[g] == 0 {
+			c.Nulls[i] = true
 			continue
 		}
-		s.st.sum += v[j]
-		s.st.n++
+		c.Floats[i] = s.sum[g] / float64(s.n[g])
 	}
+	return c
 }
 
-func (s *vecAvg) result() types.Value {
-	if s.st.n == 0 {
-		return types.NullValue()
+// compileAggColumn builds one aggregate's accumulator column with the tuple
+// accumulators' identities and combine functions (intAccumulator,
+// floatAccumulator, strAccumulator), so results and frames match theirs.
+func (c *Compiler) compileAggColumn(a expr.Agg) (aggColumn, error) {
+	if a.Kind == expr.AggCount {
+		return &countColumn{}, nil
 	}
-	return types.FloatValue(s.st.sum / float64(s.st.n))
+	t, err := c.typeOf(a.Arg)
+	if err != nil {
+		return nil, err
+	}
+	if a.Kind == expr.AggAvg {
+		ev, err := c.compileVecFloat(a.Arg)
+		return &avgColumn{ev: ev}, err
+	}
+	mn, mx := a.Kind == expr.AggMin, a.Kind == expr.AggMax
+	switch k := t.Kind(); {
+	case k == types.KindInt:
+		ev, err := c.compileVecInt(a.Arg)
+		s := &scalarColumn[int64]{ev: ev, kind: types.KindInt}
+		if mn {
+			s.zero, s.combine = math.MaxInt64, func(a, v int64) int64 { return min(a, v) }
+		} else if mx {
+			s.zero, s.combine = math.MinInt64, func(a, v int64) int64 { return max(a, v) }
+		}
+		return s, err
+	case k == types.KindFloat:
+		ev, err := c.compileVecFloat(a.Arg)
+		s := &scalarColumn[float64]{ev: ev, kind: types.KindFloat}
+		if mn {
+			s.zero, s.combine = math.Inf(1), math.Min
+		} else if mx {
+			s.zero, s.combine = math.Inf(-1), math.Max
+		}
+		return s, err
+	case k == types.KindString && (mn || mx):
+		ev, err := c.compileVecStr(a.Arg)
+		s := &scalarColumn[string]{ev: ev, kind: types.KindString}
+		s.combine = func(a, v string) string { return max(a, v) }
+		if mn {
+			s.combine = func(a, v string) string { return min(a, v) }
+		}
+		return s, err
+	}
+	return nil, fmt.Errorf("exec: aggregate %s is not vectorizable", a.Kind)
 }
 
-func (s *vecAvg) partial() any { return s.st }
-
-func (s *vecAvg) absorb(p any) {
-	o := p.(avgPart)
-	s.st.sum += o.sum
-	s.st.n += o.n
-}
-
-// canVecAgg statically mirrors compileVecAgg's coverage.
+// canVecAgg statically mirrors compileAggColumn's coverage.
 func (c *Compiler) canVecAgg(a expr.Agg, schema *types.RecordType, bind string) bool {
 	switch a.Kind {
 	case expr.AggCount:
@@ -134,76 +261,22 @@ func (c *Compiler) canVecAgg(a expr.Agg, schema *types.RecordType, bind string) 
 	return false
 }
 
-// compileVecAgg builds the batch-folding state for one aggregate, with the
-// exact combine functions of the tuple accumulators (math.Max/Min for
-// floats keeps NaN behavior identical).
-func (c *Compiler) compileVecAgg(a expr.Agg) (vecAggState, error) {
-	if a.Kind == expr.AggCount {
-		return &vecCount{}, nil
-	}
-	t, err := c.typeOf(a.Arg)
-	if err != nil {
-		return nil, err
-	}
-	if a.Kind == expr.AggAvg {
-		ev, err := c.compileVecFloat(a.Arg)
-		if err != nil {
-			return nil, err
-		}
-		return &vecAvg{ev: ev}, nil
-	}
-	switch t.Kind() {
-	case types.KindInt:
-		ev, err := c.compileVecInt(a.Arg)
-		if err != nil {
-			return nil, err
-		}
-		switch a.Kind {
-		case expr.AggSum:
-			return &vecScalar[int64]{ev: ev, combine: func(a, v int64) int64 { return a + v }, box: types.IntValue}, nil
-		case expr.AggMax:
-			return &vecScalar[int64]{ev: ev, combine: func(a, v int64) int64 { return max(a, v) }, box: types.IntValue}, nil
-		case expr.AggMin:
-			return &vecScalar[int64]{ev: ev, combine: func(a, v int64) int64 { return min(a, v) }, box: types.IntValue}, nil
-		}
-	case types.KindFloat:
-		ev, err := c.compileVecFloat(a.Arg)
-		if err != nil {
-			return nil, err
-		}
-		switch a.Kind {
-		case expr.AggSum:
-			return &vecScalar[float64]{ev: ev, combine: func(a, v float64) float64 { return a + v }, box: types.FloatValue}, nil
-		case expr.AggMax:
-			return &vecScalar[float64]{ev: ev, combine: math.Max, box: types.FloatValue}, nil
-		case expr.AggMin:
-			return &vecScalar[float64]{ev: ev, combine: math.Min, box: types.FloatValue}, nil
-		}
-	case types.KindString:
-		ev, err := c.compileVecStr(a.Arg)
-		if err != nil {
-			return nil, err
-		}
-		switch a.Kind {
-		case expr.AggMax:
-			return &vecScalar[string]{ev: ev, combine: func(a, v string) string { return max(a, v) }, box: types.StringValue}, nil
-		case expr.AggMin:
-			return &vecScalar[string]{ev: ev, combine: func(a, v string) string { return min(a, v) }, box: types.StringValue}, nil
-		}
-	}
-	return nil, fmt.Errorf("exec: aggregate %s is not vectorizable", a.Kind)
-}
+// zeroGroups is the group-id vector of a one-group table: every lane is
+// in group 0 (read-only, shared by every program).
+var zeroGroups = make([]int32, vbuf.BatchSize)
 
-// vecReducePartial is the mergeable state of a vectorized ungrouped Reduce.
+// vecReducePartial is the mergeable state of a vectorized ungrouped Reduce:
+// aggregate columns holding the one group.
 type vecReducePartial struct {
 	names    []string
-	states   []vecAggState
+	aggs     []aggColumn
 	rowsCell *int64
 }
 
 func (p *vecReducePartial) reset() {
-	for _, st := range p.states {
-		st.reset()
+	for _, a := range p.aggs {
+		a.truncate()
+		a.grow()
 	}
 }
 
@@ -212,8 +285,8 @@ func (p *vecReducePartial) merge(o partialState) error {
 	if !ok {
 		return fmt.Errorf("exec: cannot merge %T into vectorized reduce state", o)
 	}
-	for i, st := range p.states {
-		st.absorb(other.states[i].partial())
+	for i, a := range p.aggs {
+		a.absorb(other.aggs[i], zeroGroups[:1])
 	}
 	return nil
 }
@@ -222,446 +295,273 @@ func (p *vecReducePartial) result() (*Result, error) {
 	if p.rowsCell != nil {
 		*p.rowsCell = 1
 	}
-	vals := make([]types.Value, len(p.states))
-	for i, st := range p.states {
-		vals[i] = st.result()
+	vals := make([]types.Value, len(p.aggs))
+	for i, a := range p.aggs {
+		col := a.column(zeroGroups[:1])
+		vals[i] = col.box(0)
 	}
 	return &Result{Cols: p.names, Rows: []types.Value{types.RecordValue(p.names, vals)}}, nil
 }
 
+// vecAggChain is the static check and the compilation shared by the
+// batch-folding roots: the child must be a vectorizable chain, and the
+// aggregates, the predicate and the int group keys batch-capable. ok=false
+// means nothing was committed and the tuple path proceeds normally; every
+// check precedes slot allocation.
+func (c *Compiler) vecAggChain(child algebra.Node, aggs []expr.Agg, pred expr.Expr, keys []expr.Expr) (seg *vecSeg, filter vecFilter, dataset string, ok bool, err error) {
+	ch := vecChainOf(child)
+	if ch == nil {
+		return nil, nil, "", false, nil
+	}
+	schema, ok := c.vecEligible(ch)
+	if !ok {
+		return nil, nil, "", false, nil
+	}
+	for _, a := range aggs {
+		if !c.canVecAgg(a, schema, ch.scan.Binding) {
+			return nil, nil, "", false, nil
+		}
+	}
+	if pred != nil {
+		if k, ok := c.canVecExpr(pred, schema, ch.scan.Binding); !ok || k != types.KindBool {
+			return nil, nil, "", false, nil
+		}
+	}
+	for _, e := range keys {
+		if k, ok := c.canVecExpr(e, schema, ch.scan.Binding); !ok || k != types.KindInt {
+			return nil, nil, "", false, nil
+		}
+	}
+	if seg, err = c.compileVecSeg(ch); err == nil && pred != nil {
+		filter, err = c.compileVecFilter(pred)
+	}
+	return seg, filter, ch.scan.Dataset, true, err
+}
+
 // tryVecReduce compiles a Reduce whose child is a vectorizable chain into a
-// batch-folding driver. ok=false means nothing was committed and the tuple
-// path proceeds normally; every eligibility check is static and precedes
-// slot allocation.
+// batch-folding driver (ok=false: see vecAggChain).
 func (c *Compiler) tryVecReduce(red *algebra.Reduce) (func(r *vbuf.Regs) error, *vecReducePartial, bool, error) {
 	if len(red.Aggs) == 1 && (red.Aggs[0].Kind == expr.AggBag || red.Aggs[0].Kind == expr.AggList) {
 		return nil, nil, false, nil // collection yield stays tuple-at-a-time
 	}
-	ch := vecChainOf(red.Child)
-	if ch == nil {
-		return nil, nil, false, nil
-	}
-	schema, ok := c.vecEligible(ch)
-	if !ok {
-		return nil, nil, false, nil
-	}
-	for _, a := range red.Aggs {
-		if !c.canVecAgg(a, schema, ch.scan.Binding) {
-			return nil, nil, false, nil
-		}
-	}
-	if red.Pred != nil {
-		if k, ok := c.canVecExpr(red.Pred, schema, ch.scan.Binding); !ok || k != types.KindBool {
-			return nil, nil, false, nil
-		}
-	}
-
-	seg, err := c.compileVecSeg(ch)
-	if err != nil {
-		return nil, nil, true, err
-	}
-	var predFilter vecFilter
-	if red.Pred != nil {
-		predFilter, err = c.compileVecFilter(red.Pred)
-		if err != nil {
-			return nil, nil, true, err
-		}
+	seg, predFilter, dataset, ok, err := c.vecAggChain(red.Child, red.Aggs, red.Pred, nil)
+	if !ok || err != nil {
+		return nil, nil, ok, err
 	}
 	st := &vecReducePartial{names: red.Names, rowsCell: c.rootRowsCell(red)}
 	for _, a := range red.Aggs {
-		agg, err := c.compileVecAgg(a)
+		agg, err := c.compileAggColumn(a)
 		if err != nil {
 			return nil, nil, true, err
 		}
-		st.states = append(st.states, agg)
+		st.aggs = append(st.aggs, agg)
 	}
-	states := st.states
+	st.reset()
 	terminate := func(b *vbuf.Batch, _ *vbuf.Regs) error {
 		if predFilter != nil {
 			predFilter(b)
 		}
-		for _, s := range states {
-			s.fold(b)
+		for _, a := range st.aggs {
+			a.fold(b, zeroGroups[:len(b.Sel)])
 		}
 		return nil
 	}
-	c.note("reduce over %s: vectorized fold (%d aggregates)", ch.scan.Dataset, len(states))
+	c.note("reduce over %s: vectorized fold (%d aggregates)", dataset, len(st.aggs))
 	return c.compileVecDriver(seg, terminate), st, true, nil
 }
 
 // Grouped aggregation --------------------------------------------------------
 
-// vecColHolder shares one kernel evaluation per batch among all group
-// states of an aggregate: bind refreshes the views once, every group's
-// foldIdx then reads single lanes.
-type vecColHolder[T any] struct {
-	v    []T
-	null []bool
-}
-
-// vecGroupState folds single selected lanes into one group's aggregate.
-type vecGroupState interface {
-	foldIdx(j int32)
-	result() types.Value
-	partial() any
-	absorb(p any)
-}
-
-// vecNestAgg describes one aggregate of a vectorized Nest: the shared
-// per-batch bind plus the per-group state factory.
-type vecNestAgg struct {
-	bind  func(b *vbuf.Batch)
-	fresh func() vecGroupState
-}
-
-type nestCount struct{ n int64 }
-
-func (s *nestCount) foldIdx(int32)       { s.n++ }
-func (s *nestCount) result() types.Value { return types.IntValue(s.n) }
-func (s *nestCount) partial() any        { return s.n }
-func (s *nestCount) absorb(p any)        { s.n += p.(int64) }
-
-type nestScalar[T int64 | float64 | string] struct {
-	h       *vecColHolder[T]
-	combine func(a, v T) T
-	box     func(T) types.Value
-	st      scalarPart[T]
-}
-
-func (s *nestScalar[T]) foldIdx(j int32) {
-	if s.h.null != nil && s.h.null[j] {
-		return
-	}
-	v := s.h.v[j]
-	if !s.st.seen {
-		s.st.v = v
-		s.st.seen = true
-		return
-	}
-	s.st.v = s.combine(s.st.v, v)
-}
-
-func (s *nestScalar[T]) result() types.Value {
-	if !s.st.seen {
-		return types.NullValue()
-	}
-	return s.box(s.st.v)
-}
-
-func (s *nestScalar[T]) partial() any { return s.st }
-
-func (s *nestScalar[T]) absorb(p any) {
-	o := p.(scalarPart[T])
-	if !o.seen {
-		return
-	}
-	if !s.st.seen {
-		s.st = o
-		return
-	}
-	s.st.v = s.combine(s.st.v, o.v)
-}
-
-type nestAvg struct {
-	h  *vecColHolder[float64]
-	st avgPart
-}
-
-func (s *nestAvg) foldIdx(j int32) {
-	if s.h.null != nil && s.h.null[j] {
-		return
-	}
-	s.st.sum += s.h.v[j]
-	s.st.n++
-}
-
-func (s *nestAvg) result() types.Value {
-	if s.st.n == 0 {
-		return types.NullValue()
-	}
-	return types.FloatValue(s.st.sum / float64(s.st.n))
-}
-
-func (s *nestAvg) partial() any { return s.st }
-
-func (s *nestAvg) absorb(p any) {
-	o := p.(avgPart)
-	s.st.sum += o.sum
-	s.st.n += o.n
-}
-
-func nestScalarAgg[T int64 | float64 | string](
-	ev func(b *vbuf.Batch) ([]T, []bool),
-	combine func(a, v T) T,
-	box func(T) types.Value,
-) *vecNestAgg {
-	h := &vecColHolder[T]{}
-	return &vecNestAgg{
-		bind:  func(b *vbuf.Batch) { h.v, h.null = ev(b) },
-		fresh: func() vecGroupState { return &nestScalar[T]{h: h, combine: combine, box: box} },
-	}
-}
-
-// compileVecNestAgg builds the shared-holder aggregate for one Nest agg.
-func (c *Compiler) compileVecNestAgg(a expr.Agg) (*vecNestAgg, error) {
-	if a.Kind == expr.AggCount {
-		return &vecNestAgg{fresh: func() vecGroupState { return &nestCount{} }}, nil
-	}
-	t, err := c.typeOf(a.Arg)
-	if err != nil {
-		return nil, err
-	}
-	if a.Kind == expr.AggAvg {
-		ev, err := c.compileVecFloat(a.Arg)
-		if err != nil {
-			return nil, err
-		}
-		h := &vecColHolder[float64]{}
-		return &vecNestAgg{
-			bind:  func(b *vbuf.Batch) { h.v, h.null = ev(b) },
-			fresh: func() vecGroupState { return &nestAvg{h: h} },
-		}, nil
-	}
-	switch t.Kind() {
-	case types.KindInt:
-		ev, err := c.compileVecInt(a.Arg)
-		if err != nil {
-			return nil, err
-		}
-		switch a.Kind {
-		case expr.AggSum:
-			return nestScalarAgg(ev, func(a, v int64) int64 { return a + v }, types.IntValue), nil
-		case expr.AggMax:
-			return nestScalarAgg(ev, func(a, v int64) int64 { return max(a, v) }, types.IntValue), nil
-		case expr.AggMin:
-			return nestScalarAgg(ev, func(a, v int64) int64 { return min(a, v) }, types.IntValue), nil
-		}
-	case types.KindFloat:
-		ev, err := c.compileVecFloat(a.Arg)
-		if err != nil {
-			return nil, err
-		}
-		switch a.Kind {
-		case expr.AggSum:
-			return nestScalarAgg(ev, func(a, v float64) float64 { return a + v }, types.FloatValue), nil
-		case expr.AggMax:
-			return nestScalarAgg(ev, math.Max, types.FloatValue), nil
-		case expr.AggMin:
-			return nestScalarAgg(ev, math.Min, types.FloatValue), nil
-		}
-	case types.KindString:
-		ev, err := c.compileVecStr(a.Arg)
-		if err != nil {
-			return nil, err
-		}
-		switch a.Kind {
-		case expr.AggMax:
-			return nestScalarAgg(ev, func(a, v string) string { return max(a, v) }, types.StringValue), nil
-		case expr.AggMin:
-			return nestScalarAgg(ev, func(a, v string) string { return min(a, v) }, types.StringValue), nil
-		}
-	}
-	return nil, fmt.Errorf("exec: aggregate %s is not vectorizable", a.Kind)
-}
-
-// vecNestPartial is the mergeable state of a vectorized single-int-key Nest.
-// Like the tuple fast path, result order is ascending by key, and merging
-// adopts later workers' group states for first-seen keys.
+// vecNestPartial is the mergeable state of a vectorized single-int-key Nest:
+// a columnar group table. keys holds the keys by dense group id in
+// first-encounter order (id nullGid, when set, is the NULL-key group,
+// matching the tuple paths and the Volcano baseline), and each aggregate
+// keeps one typed accumulator per id. The result is ascending by key with
+// the NULL group first, like the tuple fast path.
 type vecNestPartial struct {
 	outNames []string
-	makers   []*vecNestAgg
-	groups   map[int64][]vecGroupState
-	order    []int64
-	// nullGroup holds the NULL-key group's states (nil = no NULL keys
-	// seen), matching the tuple paths and the Volcano baseline.
-	nullGroup []vecGroupState
-	rowsCell  *int64
-}
-
-func (p *vecNestPartial) freshStates() []vecGroupState {
-	states := make([]vecGroupState, len(p.makers))
-	for i, m := range p.makers {
-		states[i] = m.fresh()
-	}
-	return states
+	aggs     []aggColumn
+	keys     []int64
+	nullGid  int32 // -1: no NULL key seen
+	// index finds a key's id by open addressing with linear probing: a
+	// power-of-two table of id+1 (0 = empty), kept at most half full.
+	index    []int32
+	gids     []int32
+	rowsCell *int64
 }
 
 func (p *vecNestPartial) reset() {
-	p.groups = map[int64][]vecGroupState{}
-	p.order = nil
-	p.nullGroup = nil
+	clear(p.index)
+	p.keys, p.nullGid = p.keys[:0], -1
+	for _, a := range p.aggs {
+		a.truncate()
+	}
 }
 
+// slot returns where k's id is, or belongs, in the index.
+func (p *vecNestPartial) slot(k int64) int {
+	mask := len(p.index) - 1 // Fibonacci hashing: the product's top bits
+	for i := int(uint64(k) * 0x9E3779B97F4A7C15 >> bits.LeadingZeros64(uint64(mask))); ; i = (i + 1) & mask {
+		if id := p.index[i]; id == 0 || p.keys[id-1] == k {
+			return i
+		}
+	}
+}
+
+// group returns key k's group id, adding the group when k is new.
+func (p *vecNestPartial) group(k int64, null bool) (g int32, added bool) {
+	if null {
+		if p.nullGid < 0 {
+			p.nullGid, added = p.newGroup(0), true
+		}
+		return p.nullGid, added
+	}
+	if 2*len(p.keys) >= len(p.index) {
+		p.index = make([]int32, max(1024, 2*len(p.index)))
+		for g, k := range p.keys {
+			if int32(g) != p.nullGid {
+				p.index[p.slot(k)] = int32(g) + 1
+			}
+		}
+	}
+	i := p.slot(k)
+	if p.index[i] != 0 {
+		return p.index[i] - 1, false
+	}
+	g = p.newGroup(k)
+	p.index[i] = g + 1
+	return g, true
+}
+
+func (p *vecNestPartial) newGroup(k int64) int32 {
+	p.keys = append(p.keys, k)
+	for _, a := range p.aggs {
+		a.grow()
+	}
+	return int32(len(p.keys) - 1)
+}
+
+// merge adds the other table's groups in its first-encounter order,
+// combining each aggregate as the tuple monoid would.
 func (p *vecNestPartial) merge(o partialState) error {
 	other, ok := o.(*vecNestPartial)
 	if !ok {
 		return fmt.Errorf("exec: cannot merge %T into vectorized nest state", o)
 	}
-	for _, k := range other.order {
-		states, exists := p.groups[k]
-		if !exists {
-			p.groups[k] = other.groups[k]
-			p.order = append(p.order, k)
-			continue
-		}
-		for i, st := range states {
-			st.absorb(other.groups[k][i].partial())
-		}
+	dst := make([]int32, len(other.keys))
+	for g, k := range other.keys {
+		dst[g], _ = p.group(k, int32(g) == other.nullGid)
 	}
-	if other.nullGroup != nil {
-		if p.nullGroup == nil {
-			p.nullGroup = other.nullGroup
-		} else {
-			for i, st := range p.nullGroup {
-				st.absorb(other.nullGroup[i].partial())
-			}
-		}
+	for i, a := range p.aggs {
+		a.absorb(other.aggs[i], dst)
 	}
 	return nil
 }
 
-func (p *vecNestPartial) result() (*Result, error) {
-	if p.rowsCell != nil {
-		n := int64(len(p.order))
-		if p.nullGroup != nil {
-			n++
-		}
-		*p.rowsCell = n
+// sortedGroups returns the group ids in result order: the NULL group,
+// then ascending keys.
+func (p *vecNestPartial) sortedGroups() []int32 {
+	order := make([]int32, 0, len(p.keys))
+	if p.nullGid >= 0 {
+		order = append(order, p.nullGid)
 	}
-	sort.Slice(p.order, func(i, j int) bool { return p.order[i] < p.order[j] })
-	rows := make([]types.Value, 0, len(p.order)+1)
-	if p.nullGroup != nil {
-		vals := make([]types.Value, 0, len(p.outNames))
-		vals = append(vals, types.NullValue())
-		for _, st := range p.nullGroup {
-			vals = append(vals, st.result())
+	first := len(order)
+	for g := range int32(len(p.keys)) {
+		if g != p.nullGid {
+			order = append(order, g)
 		}
-		rows = append(rows, types.RecordValue(p.outNames, vals))
 	}
-	for _, k := range p.order {
-		vals := make([]types.Value, 0, len(p.outNames))
-		vals = append(vals, types.IntValue(k))
-		for _, st := range p.groups[k] {
-			vals = append(vals, st.result())
-		}
-		rows = append(rows, types.RecordValue(p.outNames, vals))
-	}
-	return &Result{Cols: p.outNames, Rows: rows}, nil
+	orderByKey(p.keys, order[first:])
+	return order
 }
 
+func (p *vecNestPartial) result() (*Result, error) {
+	if p.rowsCell != nil {
+		*p.rowsCell = int64(len(p.keys))
+	}
+	order := p.sortedGroups()
+	cols := make([]Column, 0, len(p.outNames))
+	key := Column{Kind: types.KindInt, Ints: make([]int64, len(order)), Nulls: make([]bool, len(order))}
+	for i, g := range order {
+		key.Ints[i], key.Nulls[i] = p.keys[g], g == p.nullGid
+	}
+	cols = append(cols, key)
+	for _, a := range p.aggs {
+		cols = append(cols, a.column(order))
+	}
+	return &Result{Cols: p.outNames, out: &collectRows{fields: p.outNames, cols: cols, n: len(order)}}, nil
+}
+
+// nestGroupBytes is the memory charged per new group, from what the table
+// holds for it: an 8-byte key and, per aggregate, at most 16 bytes of
+// accumulator (a string header, or AVG's sum and count) plus a seen flag,
+// in slices that may be up to twice their length; and the index's 4-byte
+// slots, of which a group has two to four (the table doubles when half
+// full).
+func nestGroupBytes(aggs int) int64 { return 2*(8+17*int64(aggs)) + 4*4 }
+
 // tryVecNest compiles a single-int-key Nest over a vectorizable chain into
-// a batch-grouping driver: the key column is evaluated once per batch, the
-// grouping loop walks the selection vector, and group states fold lanes via
-// shared column holders. Composite and non-int keys stay tuple-at-a-time.
+// a batch-grouping driver: the key column is evaluated once per batch and
+// mapped to dense group ids, then each aggregate folds the batch in one
+// typed loop over those ids. Composite and non-int keys stay
+// tuple-at-a-time.
 func (c *Compiler) tryVecNest(n *algebra.Nest) (func(r *vbuf.Regs) error, *vecNestPartial, bool, error) {
 	if len(n.GroupBy) != 1 {
 		return nil, nil, false, nil
 	}
-	ch := vecChainOf(n.Child)
-	if ch == nil {
-		return nil, nil, false, nil
-	}
-	schema, ok := c.vecEligible(ch)
-	if !ok {
-		return nil, nil, false, nil
-	}
-	if k, ok := c.canVecExpr(n.GroupBy[0], schema, ch.scan.Binding); !ok || k != types.KindInt {
-		return nil, nil, false, nil
-	}
-	for _, a := range n.Aggs {
-		if !c.canVecAgg(a, schema, ch.scan.Binding) {
-			return nil, nil, false, nil
-		}
-	}
-	if n.Pred != nil {
-		if k, ok := c.canVecExpr(n.Pred, schema, ch.scan.Binding); !ok || k != types.KindBool {
-			return nil, nil, false, nil
-		}
-	}
-
-	seg, err := c.compileVecSeg(ch)
-	if err != nil {
-		return nil, nil, true, err
+	seg, predFilter, dataset, ok, err := c.vecAggChain(n.Child, n.Aggs, n.Pred, n.GroupBy)
+	if !ok || err != nil {
+		return nil, nil, ok, err
 	}
 	keyKernel, err := c.compileVecInt(n.GroupBy[0])
 	if err != nil {
 		return nil, nil, true, err
 	}
-	var predFilter vecFilter
-	if n.Pred != nil {
-		predFilter, err = c.compileVecFilter(n.Pred)
-		if err != nil {
-			return nil, nil, true, err
-		}
-	}
 	st := &vecNestPartial{
 		rowsCell: c.rootRowsCell(n),
 		outNames: append(append([]string{}, n.GroupNames...), n.AggNames...),
+		nullGid:  -1,
 	}
 	for _, a := range n.Aggs {
-		m, err := c.compileVecNestAgg(a)
+		agg, err := c.compileAggColumn(a)
 		if err != nil {
 			return nil, nil, true, err
 		}
-		st.makers = append(st.makers, m)
+		st.aggs = append(st.aggs, agg)
 	}
 
-	makers := st.makers
 	gauge := c.mem
 	var pending int64
-	groupBytes := int64(96 + len(n.GroupBy)*48 + len(n.Aggs)*96)
+	groupBytes := nestGroupBytes(len(n.Aggs))
 	terminate := func(b *vbuf.Batch, _ *vbuf.Regs) error {
 		if predFilter != nil {
 			predFilter(b)
 		}
 		kv, kn := keyKernel(b)
-		for _, m := range makers {
-			if m.bind != nil {
-				m.bind(b)
-			}
-		}
+		gids := st.gids[:0]
+		var added int64
 		for _, j := range b.Sel {
-			if kn != nil && kn[j] {
-				// NULL key: its own group, like the tuple paths.
-				if st.nullGroup == nil {
-					st.nullGroup = st.freshStates()
-					if gauge != nil {
-						if pending += groupBytes; pending >= memQuantum {
-							err := gauge.charge(pending)
-							pending = 0
-							if err != nil {
-								return err
-							}
-						}
-					}
-				}
-				for _, s := range st.nullGroup {
-					s.foldIdx(j)
-				}
-				continue
+			g, isNew := st.group(kv[j], kn != nil && kn[j])
+			if isNew {
+				added++
 			}
-			k := kv[j]
-			states, exists := st.groups[k]
-			if !exists {
-				states = st.freshStates()
-				st.groups[k] = states
-				st.order = append(st.order, k)
-				if gauge != nil {
-					if pending += groupBytes; pending >= memQuantum {
-						err := gauge.charge(pending)
-						pending = 0
-						if err != nil {
-							return err
-						}
-					}
+			gids = append(gids, g)
+		}
+		st.gids = gids
+		for _, a := range st.aggs {
+			a.fold(b, gids)
+		}
+		if gauge != nil && added > 0 {
+			if pending += added * groupBytes; pending >= memQuantum {
+				err := gauge.charge(pending)
+				pending = 0
+				if err != nil {
+					return err
 				}
-			}
-			for _, s := range states {
-				s.foldIdx(j)
 			}
 		}
 		return nil
 	}
-	c.note("nest over %s: vectorized grouping (int key, %d aggregates)", ch.scan.Dataset, len(makers))
+	c.note("nest over %s: vectorized columnar grouping (int key, %d aggregates)", dataset, len(st.aggs))
 	return c.compileVecDriver(seg, terminate), st, true, nil
 }

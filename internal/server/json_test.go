@@ -52,6 +52,8 @@ func TestColumnarNDJSONMatchesBoxed(t *testing.T) {
 		{"SELECT k, f FROM b ORDER BY f LIMIT 5", true},
 		{"for { x <- b, x.k < 10 } yield bag x.s", false}, // scalar rows stay boxed
 		{"SELECT COUNT(*), MAX(s) FROM b", false},
+		{"SELECT k, COUNT(*), MIN(s), MAX(f), AVG(f) FROM b WHERE k < 50 GROUP BY k", true}, // group table
+		{"SELECT k, COUNT(*) AS n, MIN(f) AS lo FROM b GROUP BY k ORDER BY lo DESC, k LIMIT 4", true},
 	} {
 		res, err := e.QueryStream(context.Background(), langOf(tc.q), tc.q)
 		if err != nil {

@@ -13,7 +13,8 @@
 // profile, ".trace [id] [file]" exports a profile as Chrome trace-event
 // JSON (Perfetto-loadable), ".slow" prints the slow-query log, ".plans"
 // prints per-plan runtime feedback, ".metrics" dumps cumulative engine
-// metrics, and ".caches" prints cache statistics. The -obs flag records a
+// metrics, and ".caches" prints cache statistics (bitmap indexes built,
+// refused by reason, and their build time among them). The -obs flag records a
 // profile for every query, -slow-query sets the slow-log threshold
 // (-slow-log appends JSONL records to a file), -trace-morsels samples
 // per-morsel trace events, and -metrics ADDR serves /metrics, /debug/vars,
@@ -35,6 +36,7 @@ import (
 	"time"
 
 	"proteus"
+	"proteus/internal/cache"
 )
 
 type pairs []string
@@ -200,8 +202,14 @@ func main() {
 			fmt.Printf("blocks=%d join_sides=%d bytes=%d hits=%d misses=%d evictions=%d build_time=%v\n",
 				s.Blocks, s.JoinSides, s.Bytes, s.Hits, s.Misses, s.Evictions,
 				time.Duration(s.BuildNanos).Round(time.Microsecond))
-			fmt.Printf("indexes=%d index_bytes=%d index_builds=%d index_hits=%d zone_skips=%d\n",
-				s.Indexes, s.IndexBytes, s.IndexBuilds, s.IndexHits, s.ZoneSkips)
+			fmt.Printf("indexes=%d index_bytes=%d index_builds=%d index_hits=%d zone_skips=%d index_build_time=%v\n",
+				s.Indexes, s.IndexBytes, s.IndexBuilds, s.IndexHits, s.ZoneSkips,
+				time.Duration(s.IndexBuildNanos).Round(time.Microsecond))
+			fmt.Print("index_refusals:")
+			for i, reason := range cache.IndexRefusalReasons {
+				fmt.Printf(" %s=%d", reason, s.IndexRefusals[i])
+			}
+			fmt.Println()
 		case line == ".metrics":
 			out, err := json.MarshalIndent(db.Metrics(), "", "  ")
 			if err != nil {

@@ -47,6 +47,10 @@ type Block struct {
 	// idx is the optional bitmap index, published after the block itself
 	// (adaptive: only once the index-selection policy marks the column hot).
 	idx atomic.Pointer[Index]
+	// idxRefused remembers why this block's index was refused (kind, keys
+	// or size), so hot predicates stop re-attempting it. Guarded by
+	// Manager.mu.
+	idxRefused Refusal
 
 	lastUsed int64
 
@@ -201,8 +205,12 @@ type Manager struct {
 	hits, misses, evictions atomic.Int64
 
 	// Index observability: windows skipped via zone maps, batches served by
-	// a bitmap index, and indexes built.
+	// a bitmap index, indexes built, index builds refused (by reason, in
+	// IndexRefusalReasons order), and wall time spent in build attempts,
+	// refused ones included.
 	zoneSkips, idxHits, idxBuilds atomic.Int64
+	idxRefusals                   [len(IndexRefusalReasons)]atomic.Int64
+	idxBuildNanos                 atomic.Int64
 
 	// epoch advances whenever the set of usable blocks changes (register,
 	// drop, eviction, enable toggle). Compiled-plan caches key on it so a
@@ -441,13 +449,19 @@ type Stats struct {
 	BuildNanos int64
 
 	// Columnar-index state (v2): built bitmap indexes and their footprint,
-	// zone-map window skips, batches served from an index, and builds.
-	Indexes     int
-	IndexBytes  int64
-	ZoneSkips   int64
-	IndexHits   int64
-	IndexBuilds int64
+	// zone-map window skips, batches served from an index, builds, refused
+	// builds by reason (IndexRefusalReasons order), and build wall time.
+	Indexes         int
+	IndexBytes      int64
+	ZoneSkips       int64
+	IndexHits       int64
+	IndexBuilds     int64
+	IndexRefusals   [len(IndexRefusalReasons)]int64
+	IndexBuildNanos int64
 }
+
+// Refused returns how many index builds were refused for reason r.
+func (s Stats) Refused(r Refusal) int64 { return s.IndexRefusals[r-1] }
 
 // Snapshot returns current cache statistics.
 func (m *Manager) Snapshot() Stats {
@@ -456,10 +470,14 @@ func (m *Manager) Snapshot() Stats {
 	s := Stats{
 		Blocks: len(m.blocks), JoinSides: len(m.joins),
 		Hits: m.hits.Load(), Misses: m.misses.Load(), Evictions: m.evictions.Load(),
-		BuildNanos:  m.buildNanos.Load(),
-		ZoneSkips:   m.zoneSkips.Load(),
-		IndexHits:   m.idxHits.Load(),
-		IndexBuilds: m.idxBuilds.Load(),
+		BuildNanos:      m.buildNanos.Load(),
+		ZoneSkips:       m.zoneSkips.Load(),
+		IndexHits:       m.idxHits.Load(),
+		IndexBuilds:     m.idxBuilds.Load(),
+		IndexBuildNanos: m.idxBuildNanos.Load(),
+	}
+	for i := range s.IndexRefusals {
+		s.IndexRefusals[i] = m.idxRefusals[i].Load()
 	}
 	for _, b := range m.blocks {
 		s.Bytes += b.Bytes()

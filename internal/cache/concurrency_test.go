@@ -48,6 +48,49 @@ func TestManagerConcurrentAccess(t *testing.T) {
 	}
 }
 
+// TestConcurrentIndexAttempts drives index promotion, refusal and
+// replacement from many goroutines over a small arena: refused columns are
+// attempted once per block, buildable ones get one index, and under -race
+// the per-block memo and the reserve path show no data race.
+func TestConcurrentIndexAttempts(t *testing.T) {
+	m := NewManager(storage.NewManager(64<<10), true)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				switch i % 5 {
+				case 0:
+					if w == 0 && i%60 == 0 {
+						m.Register(intBlock("d", "distinct", 64, 1)) // replaces the refused block
+					}
+					m.NotePredicate("d", "distinct", 0.1)
+				case 1:
+					m.CreditScan("d", "distinct")
+				case 2:
+					if w == 1 && i%60 == 2 {
+						m.Register(repeatedIntBlock("rep", 512, 8))
+					}
+					m.NotePredicate("d", "rep", 0.1)
+				case 3:
+					m.CreditScan("d", "rep")
+				case 4:
+					_ = m.Snapshot()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	s := m.Snapshot()
+	if s.Refused(RefuseSize) == 0 || s.Refused(RefuseSize) > 5 {
+		t.Errorf("size refusals = %d, want one per registered block (at most 5)", s.Refused(RefuseSize))
+	}
+	if s.IndexBuilds == 0 || s.IndexBuilds > 5 {
+		t.Errorf("index builds = %d, want one per registered block (at most 5)", s.IndexBuilds)
+	}
+}
+
 func TestConcatBlocks(t *testing.T) {
 	a := &Block{Dataset: "ds", Key: "x", Kind: types.KindInt, FormatBias: 4,
 		Ints: []int64{1, 2, 3}, Rows: 3}

@@ -13,7 +13,9 @@ package cache
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
+	"time"
 
 	"proteus/internal/types"
 )
@@ -401,7 +403,7 @@ type Index struct {
 	Kind    types.Kind
 	rows    int64
 	keys    []int64
-	bitmaps []*Bitmap
+	bitmaps []Bitmap
 	nonNull *Bitmap
 	dict    *Dict
 	bytes   int64
@@ -416,93 +418,278 @@ func (ix *Index) Rows() int64 { return ix.rows }
 // Bytes reports the index's accounted memory footprint.
 func (ix *Index) Bytes() int64 { return ix.bytes }
 
+// Refusal says why a bitmap index was not built for a block.
+type Refusal uint8
+
+// Refusal reasons. Kind, keys and size depend only on the block's contents
+// (and the policy), so the block remembers them; budget depends on what
+// else the arena holds, so a later attempt may succeed.
+const (
+	refuseNone   Refusal = iota
+	RefuseKind           // float or other unindexable column kind
+	RefuseKeys           // more than maxIndexKeys distinct values
+	RefuseSize           // under IndexAuto, the index would outweigh its column
+	RefuseBudget         // the arena could not hold the index next to its block
+)
+
+// IndexRefusalReasons names each Refusal, indexed by its value minus one:
+// the reason label of the refusal counters.
+var IndexRefusalReasons = [...]string{"kind", "keys", "size", "budget"}
+
+// noKey marks a NULL row in indexPlan.ids.
+const noKey = math.MaxUint16
+
+// indexPlan is the first half of an index build: one pass maps every row
+// to a dense key id, so the key set, its order and the final size are known
+// before any bitmap exists. build then allocates and fills the bitmaps.
+type indexPlan struct {
+	b    *Block
+	keys []int64 // sorted distinct keys
+	dict *Dict
+	// pos maps a key id to its position in keys. Ids come from ids[i]
+	// (general int and string columns), v-min (int columns whose zone-map
+	// range spans at most maxIndexKeys values) or 0/1 (bool columns).
+	pos   []uint16
+	ids   []uint16
+	min   int64
+	bytes int64
+}
+
+// planIndex runs the key pass of an index build. It allocates at most a
+// key table and one uint16 per row, and stops at the (maxIndexKeys+1)-th
+// distinct key.
+func planIndex(b *Block) (*indexPlan, Refusal) {
+	p := &indexPlan{b: b}
+	switch b.Kind {
+	case types.KindInt:
+		if r := p.planInts(); r != refuseNone {
+			return nil, r
+		}
+	case types.KindBool:
+		var seen [2]bool
+		for i, v := range b.Bools {
+			if b.Nulls == nil || !b.Nulls[i] {
+				seen[boolKey(v)] = true
+			}
+		}
+		p.denseKeys(seen[:], 0)
+	case types.KindString:
+		p.dict = &Dict{codes: map[string]uint32{}}
+		p.ids = make([]uint16, b.Rows)
+		for i, s := range b.Strs {
+			if b.Nulls != nil && b.Nulls[i] {
+				p.ids[i] = noKey
+				continue
+			}
+			code, ok := p.dict.codes[s]
+			if !ok {
+				if len(p.dict.strs) == maxIndexKeys {
+					return nil, RefuseKeys
+				}
+				code = uint32(len(p.dict.strs))
+				p.dict.codes[s] = code
+				p.dict.strs = append(p.dict.strs, s)
+			}
+			p.ids[i] = uint16(code)
+		}
+		// Codes are the keys, in code order: ids are already positions.
+		p.keys = make([]int64, len(p.dict.strs))
+		p.pos = make([]uint16, len(p.dict.strs))
+		for c := range p.keys {
+			p.keys[c], p.pos[c] = int64(c), uint16(c)
+		}
+	default:
+		return nil, RefuseKind
+	}
+	words := (b.Rows + 63) >> 6
+	p.bytes = int64(len(p.keys)+1)*words*8 + int64(len(p.keys))*8
+	if p.dict != nil {
+		p.bytes += p.dict.bytes()
+	}
+	return p, refuseNone
+}
+
+func boolKey(v bool) int {
+	if v {
+		return 1
+	}
+	return 0
+}
+
+// planInts maps an int column's rows to key ids. When the zone maps say
+// every value lies within maxIndexKeys of the minimum, v-min is the id and
+// no per-row ids are kept; otherwise a keyTable assigns ids in order of
+// first appearance.
+func (p *indexPlan) planInts() Refusal {
+	b := p.b
+	z := b.Zones
+	if z == nil {
+		z = BuildZones(b)
+	}
+	lo, hi, found := int64(0), int64(0), false
+	for zi, ok := range z.ranged {
+		if !ok {
+			continue
+		}
+		if !found || z.IMin[zi] < lo {
+			lo = z.IMin[zi]
+		}
+		if !found || z.IMax[zi] > hi {
+			hi = z.IMax[zi]
+		}
+		found = true
+	}
+	if !found {
+		return refuseNone // all NULL: no keys
+	}
+	if uint64(hi)-uint64(lo) < maxIndexKeys {
+		seen := make([]bool, uint64(hi)-uint64(lo)+1)
+		for i, v := range b.Ints {
+			if b.Nulls == nil || !b.Nulls[i] {
+				seen[v-lo] = true
+			}
+		}
+		p.denseKeys(seen, lo)
+		return refuseNone
+	}
+	t := newKeyTable(b.Rows)
+	p.ids = make([]uint16, b.Rows)
+	for i, v := range b.Ints {
+		if b.Nulls != nil && b.Nulls[i] {
+			p.ids[i] = noKey
+			continue
+		}
+		id, ok := t.id(v)
+		if !ok {
+			return RefuseKeys
+		}
+		p.ids[i] = id
+	}
+	p.keys = slices.Clone(t.vals)
+	slices.Sort(p.keys)
+	p.pos = make([]uint16, len(t.vals))
+	for id, v := range t.vals {
+		k, _ := slices.BinarySearch(p.keys, v)
+		p.pos[id] = uint16(k)
+	}
+	return refuseNone
+}
+
+// denseKeys sets the keys and their positions for a column whose key id is
+// its value's offset from lo; seen marks the offsets that occur.
+func (p *indexPlan) denseKeys(seen []bool, lo int64) {
+	p.min = lo
+	p.pos = make([]uint16, len(seen))
+	for off, ok := range seen {
+		if ok {
+			p.pos[off] = uint16(len(p.keys))
+			p.keys = append(p.keys, lo+int64(off))
+		}
+	}
+}
+
+// keyTable assigns dense ids to int keys in order of first appearance. It
+// is a linear-probing table sized once for at most maxIndexKeys+1 keys at
+// no more than two-thirds load, so it never grows and a refused column
+// costs one allocation.
+type keyTable struct {
+	slots []int64
+	ids   []uint16 // id+1 of the key in the same slot; 0 marks it empty
+	vals  []int64  // keys by id
+	shift uint
+}
+
+func newKeyTable(rows int64) *keyTable {
+	want := min(rows, maxIndexKeys+1)
+	size, shift := int64(2), uint(63)
+	for size < want+want/2 {
+		size, shift = size<<1, shift-1
+	}
+	return &keyTable{slots: make([]int64, size), ids: make([]uint16, size), shift: shift}
+}
+
+// id returns k's id, adding k if it is new. ok is false when k would be
+// the (maxIndexKeys+1)-th key.
+func (t *keyTable) id(k int64) (id uint16, ok bool) {
+	mask := len(t.slots) - 1
+	for h := int((uint64(k) * 0x9E3779B97F4A7C15) >> t.shift); ; h = (h + 1) & mask {
+		if t.ids[h] == 0 {
+			if len(t.vals) == maxIndexKeys {
+				return 0, false
+			}
+			t.slots[h] = k
+			t.vals = append(t.vals, k)
+			t.ids[h] = uint16(len(t.vals))
+			return uint16(len(t.vals) - 1), true
+		}
+		if t.slots[h] == k {
+			return t.ids[h] - 1, true
+		}
+	}
+}
+
+// build allocates the plan's bitmaps and fills them from the ids. Each
+// bitmap is its own allocation: bitmaps carved from one shared slab built
+// as fast, but made the filters that read them slower (EXPERIMENTS.md,
+// "Index build").
+func (p *indexPlan) build() *Index {
+	b := p.b
+	words := (b.Rows + 63) >> 6
+	ix := &Index{Kind: b.Kind, rows: b.Rows, keys: p.keys, dict: p.dict, bytes: p.bytes,
+		nonNull: NewBitmap(b.Rows), bitmaps: make([]Bitmap, len(p.keys))}
+	for k := range ix.bitmaps {
+		ix.bitmaps[k] = Bitmap{words: make([]uint64, words), n: b.Rows}
+	}
+	set := func(k uint16, i int) {
+		ix.bitmaps[k].words[i>>6] |= 1 << (uint(i) & 63)
+	}
+	switch {
+	case p.ids != nil:
+		for i, id := range p.ids {
+			if id != noKey {
+				set(p.pos[id], i)
+			}
+		}
+	case b.Kind == types.KindInt && len(p.keys) > 0:
+		for i, v := range b.Ints {
+			if b.Nulls == nil || !b.Nulls[i] {
+				set(p.pos[v-p.min], i)
+			}
+		}
+	case b.Kind == types.KindBool:
+		for i, v := range b.Bools {
+			if b.Nulls == nil || !b.Nulls[i] {
+				set(p.pos[boolKey(v)], i)
+			}
+		}
+	}
+	if b.Nulls == nil {
+		for w := range ix.nonNull.words {
+			ix.nonNull.words[w] = ^uint64(0)
+		}
+		if tail := b.Rows & 63; tail != 0 {
+			ix.nonNull.words[words-1] = 1<<uint(tail) - 1
+		}
+	} else {
+		for i, null := range b.Nulls {
+			if !null {
+				ix.nonNull.Set(int64(i))
+			}
+		}
+	}
+	return ix
+}
+
 // BuildIndexFor constructs a bitmap index for a block, or returns nil when
 // the column is not indexable: float columns (zone maps only — equality on
 // floats is rare and range queries are served by zones) and columns with
 // more than maxIndexKeys distinct values.
 func BuildIndexFor(b *Block) *Index {
-	ix := &Index{Kind: b.Kind, rows: b.Rows, nonNull: NewBitmap(b.Rows)}
-	byKey := map[int64]*Bitmap{}
-	get := func(k int64) *Bitmap {
-		bm := byKey[k]
-		if bm == nil {
-			if len(byKey) >= maxIndexKeys {
-				return nil
-			}
-			bm = NewBitmap(b.Rows)
-			byKey[k] = bm
-		}
-		return bm
-	}
-	switch b.Kind {
-	case types.KindInt:
-		for i, v := range b.Ints {
-			if b.Nulls != nil && b.Nulls[i] {
-				continue
-			}
-			bm := get(v)
-			if bm == nil {
-				return nil
-			}
-			bm.Set(int64(i))
-			ix.nonNull.Set(int64(i))
-		}
-	case types.KindBool:
-		for i, v := range b.Bools {
-			if b.Nulls != nil && b.Nulls[i] {
-				continue
-			}
-			k := int64(0)
-			if v {
-				k = 1
-			}
-			bm := get(k)
-			if bm == nil {
-				return nil
-			}
-			bm.Set(int64(i))
-			ix.nonNull.Set(int64(i))
-		}
-	case types.KindString:
-		ix.dict = &Dict{codes: map[string]uint32{}}
-		for i, s := range b.Strs {
-			if b.Nulls != nil && b.Nulls[i] {
-				continue
-			}
-			code, ok := ix.dict.codes[s]
-			if !ok {
-				if len(ix.dict.strs) >= maxIndexKeys {
-					return nil
-				}
-				code = uint32(len(ix.dict.strs))
-				ix.dict.codes[s] = code
-				ix.dict.strs = append(ix.dict.strs, s)
-			}
-			bm := get(int64(code))
-			if bm == nil {
-				return nil
-			}
-			bm.Set(int64(i))
-			ix.nonNull.Set(int64(i))
-		}
-	default:
+	p, r := planIndex(b)
+	if r != refuseNone {
 		return nil
 	}
-	ix.keys = make([]int64, 0, len(byKey))
-	for k := range byKey {
-		ix.keys = append(ix.keys, k)
-	}
-	sort.Slice(ix.keys, func(i, j int) bool { return ix.keys[i] < ix.keys[j] })
-	ix.bitmaps = make([]*Bitmap, len(ix.keys))
-	ix.bytes = ix.nonNull.Bytes() + int64(len(ix.keys))*8
-	for i, k := range ix.keys {
-		ix.bitmaps[i] = byKey[k]
-		ix.bytes += ix.bitmaps[i].Bytes()
-	}
-	if ix.dict != nil {
-		ix.bytes += ix.dict.bytes()
-	}
-	return ix
+	return p.build()
 }
 
 // Lookup evaluates a pushed-down predicate against the index and returns
@@ -562,7 +749,7 @@ func (ix *Index) MatchStrings(pred func(string) bool) (*Bitmap, bool) {
 	// code occurs in the column), so bitmaps[code] is the code's bitmap.
 	for code, s := range ix.dict.strs {
 		if pred(s) {
-			out.Or(ix.bitmaps[code])
+			out.Or(&ix.bitmaps[code])
 		}
 	}
 	return out, true
@@ -576,11 +763,11 @@ func (ix *Index) lookupKey(op CmpOp, k int64) (*Bitmap, bool) {
 		if !exact {
 			return NewBitmap(ix.rows), true
 		}
-		return ix.bitmaps[pos], true
+		return &ix.bitmaps[pos], true
 	case CmpNe:
 		out := ix.nonNull.Clone()
 		if exact {
-			out.AndNot(ix.bitmaps[pos])
+			out.AndNot(&ix.bitmaps[pos])
 		}
 		return out, true
 	case CmpLt:
@@ -604,7 +791,7 @@ func (ix *Index) lookupKey(op CmpOp, k int64) (*Bitmap, bool) {
 func (ix *Index) orRange(lo, hi int) *Bitmap {
 	out := NewBitmap(ix.rows)
 	for i := lo; i < hi; i++ {
-		out.Or(ix.bitmaps[i])
+		out.Or(&ix.bitmaps[i])
 	}
 	return out
 }
@@ -667,27 +854,38 @@ func (m *Manager) CreditScan(dataset, key string) {
 }
 
 // ensureIndexLocked builds and publishes the bitmap index for a block if
-// it exists, is complete, has none yet, and its memory can be reserved.
-// The caller holds m.mu.
+// it exists, is complete, has none yet, has not been refused one, and its
+// memory can be reserved. The key pass runs first, so a refusal allocates
+// no bitmap; a refusal the block's contents decide is remembered on the
+// block, so a replacement block starts clean. The caller holds m.mu.
 func (m *Manager) ensureIndexLocked(k string) {
 	b := m.blocks[k]
-	if b == nil || !b.Complete || b.Index() != nil {
+	if b == nil || !b.Complete || b.Index() != nil || b.idxRefused != refuseNone {
 		return
 	}
-	ix := BuildIndexFor(b)
-	if ix == nil {
+	start := time.Now()
+	defer func() { m.idxBuildNanos.Add(time.Since(start).Nanoseconds()) }()
+	p, r := planIndex(b)
+	if r == refuseNone && m.Indexes == IndexAuto && p.bytes > b.Bytes() {
+		r = RefuseSize
+	}
+	if r != refuseNone {
+		b.idxRefused = r
+		m.idxRefusals[r-1].Add(1)
 		return
 	}
-	if !m.reserve(ix.Bytes()) {
+	if !m.reserve(p.bytes) {
+		m.idxRefusals[RefuseBudget-1].Add(1)
 		return
 	}
 	if m.blocks[k] != b {
 		// reserve's eviction pass removed the block itself; don't leak the
 		// reservation onto an unreachable index.
-		m.mem.ArenaRelease(ix.Bytes())
+		m.mem.ArenaRelease(p.bytes)
+		m.idxRefusals[RefuseBudget-1].Add(1)
 		return
 	}
-	b.idx.Store(ix)
+	b.idx.Store(p.build())
 	m.idxBuilds.Add(1)
 	m.epoch.Add(1)
 }

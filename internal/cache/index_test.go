@@ -2,7 +2,10 @@ package cache
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"proteus/internal/storage"
@@ -223,6 +226,197 @@ func TestBuildIndexRefusals(t *testing.T) {
 	}
 }
 
+// referenceIndex is the straightforward build the single pass must match:
+// a dense bitmap per key as it is met, keys sorted afterwards.
+func referenceIndex(b *Block) *Index {
+	ix := &Index{Kind: b.Kind, rows: b.Rows, nonNull: NewBitmap(b.Rows)}
+	byKey := map[int64]*Bitmap{}
+	add := func(i int, k int64) bool {
+		bm := byKey[k]
+		if bm == nil {
+			if len(byKey) == maxIndexKeys {
+				return false
+			}
+			bm = NewBitmap(b.Rows)
+			byKey[k] = bm
+		}
+		bm.Set(int64(i))
+		ix.nonNull.Set(int64(i))
+		return true
+	}
+	null := func(i int) bool { return b.Nulls != nil && b.Nulls[i] }
+	switch b.Kind {
+	case types.KindInt:
+		for i, v := range b.Ints {
+			if !null(i) && !add(i, v) {
+				return nil
+			}
+		}
+	case types.KindBool:
+		for i, v := range b.Bools {
+			if !null(i) && !add(i, int64(boolKey(v))) {
+				return nil
+			}
+		}
+	case types.KindString:
+		ix.dict = &Dict{codes: map[string]uint32{}}
+		for i, s := range b.Strs {
+			if null(i) {
+				continue
+			}
+			code, ok := ix.dict.codes[s]
+			if !ok {
+				code = uint32(len(ix.dict.strs))
+				ix.dict.codes[s] = code
+				ix.dict.strs = append(ix.dict.strs, s)
+			}
+			if !add(i, int64(code)) {
+				return nil
+			}
+		}
+	default:
+		return nil
+	}
+	for k := range byKey {
+		ix.keys = append(ix.keys, k)
+	}
+	sort.Slice(ix.keys, func(i, j int) bool { return ix.keys[i] < ix.keys[j] })
+	ix.bytes = ix.nonNull.Bytes() + int64(len(ix.keys))*8
+	for _, k := range ix.keys {
+		ix.bitmaps = append(ix.bitmaps, *byKey[k])
+		ix.bytes += byKey[k].Bytes()
+	}
+	if ix.dict != nil {
+		ix.bytes += ix.dict.bytes()
+	}
+	return ix
+}
+
+// TestBuildIndexMatchesReference checks the single-pass build against the
+// reference: same keys, bitmaps, non-null bitmap, dictionary and Bytes(),
+// and the same refusals, at and just past the key cap.
+func TestBuildIndexMatchesReference(t *testing.T) {
+	ints := func(n, everyNull int, f func(i int) int64) *Block {
+		b := &Block{Kind: types.KindInt, Rows: int64(n), Ints: make([]int64, n)}
+		if everyNull > 0 {
+			b.Nulls = make([]bool, n)
+		}
+		for i := range b.Ints {
+			b.Ints[i] = f(i)
+			if everyNull > 0 && i%everyNull == 0 {
+				b.Nulls[i], b.Ints[i] = true, 1<<40 // a NULL slot's value is junk
+			}
+		}
+		return b
+	}
+	strs := func(n, everyNull, distinct int) *Block {
+		b := &Block{Kind: types.KindString, Rows: int64(n), Strs: make([]string, n)}
+		if everyNull > 0 {
+			b.Nulls = make([]bool, n)
+		}
+		for i := range b.Strs {
+			b.Strs[i] = fmt.Sprintf("s%d", (i*7919)%distinct)
+			if everyNull > 0 && i%everyNull == 0 {
+				b.Nulls[i] = true
+			}
+		}
+		return b
+	}
+	bools := &Block{Kind: types.KindBool, Rows: 131, Bools: make([]bool, 131), Nulls: make([]bool, 131)}
+	for i := range bools.Bools {
+		bools.Bools[i], bools.Nulls[i] = i%3 == 0, i%5 == 0
+	}
+	cases := []struct {
+		name  string
+		b     *Block
+		build bool
+	}{
+		{"int narrow nulls", ints(3000, 7, func(i int) int64 { return int64(i*37%300) - 100 }), true},
+		{"int wide nulls", ints(3000, 5, func(i int) int64 { return int64(i%50) * -1_000_003 }), true},
+		{"int extremes", ints(200, 0, func(i int) int64 { return []int64{math.MinInt64, math.MaxInt64, 0}[i%3] }), true},
+		{"int narrow 4096 keys", ints(9000, 0, func(i int) int64 { return int64(i % 4096) }), true},
+		{"int wide 4096 keys", ints(9000, 3, func(i int) int64 { return int64(i%4096) * 1000 }), true},
+		{"int 4096 keys plus null", ints(4097, 4097, func(i int) int64 { return int64(i) }), true},
+		{"int 4097 keys", ints(4097, 0, func(i int) int64 { return int64(i) }), false},
+		{"int wide 4097 keys", ints(9000, 0, func(i int) int64 { return int64(i%4097) * 1000 }), false},
+		{"int all null", ints(70, 1, func(i int) int64 { return 0 }), true},
+		{"int empty", ints(0, 0, nil), true},
+		{"bool nulls", bools, true},
+		{"bool one value", &Block{Kind: types.KindBool, Rows: 64, Bools: make([]bool, 64)}, true},
+		{"string nulls", strs(1000, 9, 37), true},
+		{"string 4096 keys", strs(4096, 0, 4096), true},
+		{"string 4097 keys", strs(4097, 0, 4097), false},
+		{"float", &Block{Kind: types.KindFloat, Rows: 2, Floats: []float64{1, 2}}, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got, want := BuildIndexFor(c.b), referenceIndex(c.b)
+			if (got != nil) != c.build || (want != nil) != c.build {
+				t.Fatalf("built = %v, reference built = %v, want %v", got != nil, want != nil, c.build)
+			}
+			if !c.build {
+				return
+			}
+			if !slices.Equal(got.keys, want.keys) {
+				t.Fatalf("keys differ: %d vs %d", len(got.keys), len(want.keys))
+			}
+			if !slices.Equal(got.nonNull.words, want.nonNull.words) || got.nonNull.n != want.nonNull.n {
+				t.Fatal("non-null bitmaps differ")
+			}
+			for k := range want.bitmaps {
+				if !slices.Equal(got.bitmaps[k].words, want.bitmaps[k].words) || got.bitmaps[k].n != want.bitmaps[k].n {
+					t.Fatalf("bitmap of key %d differs", want.keys[k])
+				}
+			}
+			if (got.dict == nil) != (want.dict == nil) ||
+				got.dict != nil && (!slices.Equal(got.dict.strs, want.dict.strs) || !maps.Equal(got.dict.codes, want.dict.codes)) {
+				t.Fatal("dictionaries differ")
+			}
+			if got.Bytes() != want.Bytes() {
+				t.Fatalf("Bytes() = %d, reference %d", got.Bytes(), want.Bytes())
+			}
+		})
+	}
+}
+
+// BenchmarkBuildIndex times one index build (or refusal) over 120 000-row
+// columns: int columns with 50 to 48 000 distinct keys 0..k-1, one with
+// 1 000 keys spread too wide for the dense-range path, and a 7-value
+// string column.
+func BenchmarkBuildIndex(b *testing.B) {
+	const rows = 120_000
+	for _, c := range []struct {
+		name       string
+		keys, step int
+	}{{"int_50_keys", 50, 1}, {"int_1000_keys", 1000, 1}, {"int_1000_sparse_keys", 1000, 1000},
+		{"int_2500_keys", 2500, 1}, {"int_48000_keys", 48_000, 1}} {
+		blk := &Block{Kind: types.KindInt, Rows: rows, Ints: make([]int64, rows), Complete: true}
+		for i := range blk.Ints {
+			blk.Ints[i] = int64((i*7919)%c.keys) * int64(c.step)
+		}
+		blk.Zones = BuildZones(blk)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchIndex = BuildIndexFor(blk)
+			}
+		})
+	}
+	colors := []string{"red", "orange", "yellow", "green", "blue", "indigo", "violet"}
+	blk := &Block{Kind: types.KindString, Rows: rows, Strs: make([]string, rows), Complete: true}
+	for i := range blk.Strs {
+		blk.Strs[i] = colors[i%len(colors)]
+	}
+	b.Run("string_7_keys", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchIndex = BuildIndexFor(blk)
+		}
+	})
+}
+
+var benchIndex *Index
+
 // TestConcatBlocksValidation pins the fragment-merge contract: mismatched
 // datasets, keys, kinds, or inconsistent column/null lengths reject the
 // merge, and Complete propagates only when every fragment is complete.
@@ -337,18 +531,30 @@ func TestEvictionOrderLargeClock(t *testing.T) {
 	}
 }
 
+// repeatedIntBlock holds n rows cycling through distinct values 0..distinct-1.
+func repeatedIntBlock(key string, n, distinct int) *Block {
+	b := &Block{Dataset: "d", Key: key, Kind: types.KindInt, FormatBias: 1, Complete: true, Rows: int64(n)}
+	for i := 0; i < n; i++ {
+		b.Ints = append(b.Ints, int64(i%distinct))
+	}
+	return b
+}
+
 // TestIndexPolicy pins NotePredicate/CreditScan promotion: IndexOn builds
 // immediately, IndexAuto needs hotScanThreshold scans on a selective
-// predicate, IndexOff never builds, and unselective predicates never promote.
+// predicate and refuses an index larger than its column, IndexOff never
+// builds, and unselective predicates never promote.
 func TestIndexPolicy(t *testing.T) {
-	mk := func(mode IndexMode) *Manager {
+	mk := func(mode IndexMode, b *Block) *Manager {
 		m := NewManager(storage.NewManager(0), true)
 		m.Indexes = mode
-		m.Register(intBlock("d", "k", 10, 1))
+		m.Register(b)
 		return m
 	}
-	m := mk(IndexOn)
-	m.NotePredicate("d", "k", 0.9) // forced mode ignores selectivity
+	// Ten distinct keys in ten rows: an index 1.7x the column.
+	distinct := func() *Block { return intBlock("d", "k", 10, 1) }
+	m := mk(IndexOn, distinct())
+	m.NotePredicate("d", "k", 0.9) // forced mode ignores selectivity and size
 	if b, _ := m.Lookup("d", "k"); b.Index() == nil {
 		t.Fatal("IndexOn must build on first predicate")
 	}
@@ -356,7 +562,7 @@ func TestIndexPolicy(t *testing.T) {
 		t.Fatalf("accounting after forced build: %+v", s)
 	}
 
-	m = mk(IndexAuto)
+	m = mk(IndexAuto, repeatedIntBlock("k", 1000, 10))
 	m.NotePredicate("d", "k", 0.1)
 	for i := 0; i < hotScanThreshold-1; i++ {
 		m.CreditScan("d", "k")
@@ -369,7 +575,23 @@ func TestIndexPolicy(t *testing.T) {
 		t.Fatal("auto policy must promote at the hot-scan threshold")
 	}
 
-	m = mk(IndexAuto)
+	m = mk(IndexAuto, distinct())
+	m.NotePredicate("d", "k", 0.1)
+	for i := 0; i < 10*hotScanThreshold; i++ {
+		m.CreditScan("d", "k")
+	}
+	s := m.Snapshot()
+	if b, _ := m.Lookup("d", "k"); b.Index() != nil || s.IndexBuilds != 0 {
+		t.Fatal("auto policy must refuse an index larger than its column")
+	}
+	if got := s.Refused(RefuseSize); got != 1 {
+		t.Fatalf("size refusals = %d over %d hot scans, want 1 (remembered)", got, 10*hotScanThreshold)
+	}
+	if m.mem.ArenaUsed() != distinct().Bytes()+BuildZones(distinct()).bytes() {
+		t.Fatalf("a refused index must reserve nothing: arena %d", m.mem.ArenaUsed())
+	}
+
+	m = mk(IndexAuto, distinct())
 	m.NotePredicate("d", "k", 0.9) // unselective: never promote
 	for i := 0; i < 10*hotScanThreshold; i++ {
 		m.CreditScan("d", "k")
@@ -378,13 +600,85 @@ func TestIndexPolicy(t *testing.T) {
 		t.Fatal("unselective predicates must not promote")
 	}
 
-	m = mk(IndexOff)
+	m = mk(IndexOff, distinct())
 	m.NotePredicate("d", "k", 0.01)
 	for i := 0; i < 10*hotScanThreshold; i++ {
 		m.CreditScan("d", "k")
 	}
 	if b, _ := m.Lookup("d", "k"); b.Index() != nil {
 		t.Fatal("IndexOff must never build")
+	}
+}
+
+// TestIndexRefusalMemo checks that a refusal is remembered per block: a
+// dropped, replaced or evicted-and-rebuilt block is attempted afresh, a
+// kind refusal costs one attempt, and a budget refusal is not remembered.
+func TestIndexRefusalMemo(t *testing.T) {
+	hot := func(m *Manager, key string) {
+		m.NotePredicate("d", key, 0.1)
+		for i := 0; i < 2*hotScanThreshold; i++ {
+			m.CreditScan("d", key)
+		}
+	}
+	m := NewManager(storage.NewManager(0), true)
+	m.Register(intBlock("d", "k", 10, 1))
+	hot(m, "k")
+	m.Drop("d")
+	m.Register(intBlock("d", "k", 10, 1))
+	hot(m, "k")
+	if got := m.Snapshot().Refused(RefuseSize); got != 2 {
+		t.Fatalf("size refusals after drop and re-register = %d, want 2", got)
+	}
+	m.Register(intBlock("d", "k", 10, 1)) // replaces the refused block
+	m.CreditScan("d", "k")
+	if got := m.Snapshot().Refused(RefuseSize); got != 3 {
+		t.Fatalf("size refusals after replacement = %d, want 3", got)
+	}
+
+	fb := &Block{Dataset: "d", Key: "f", Kind: types.KindFloat, Complete: true, Rows: 2, Floats: []float64{1, 2}}
+	m.Register(fb)
+	hot(m, "f")
+	if got := m.Snapshot().Refused(RefuseKind); got != 1 {
+		t.Fatalf("kind refusals = %d, want 1", got)
+	}
+
+	// Eviction plus rebuild: the arena holds one 20-row block (181 bytes).
+	m = NewManager(storage.NewManager(181), true)
+	m.Register(intBlock("d", "k", 20, 1))
+	hot(m, "k")
+	m.Register(intBlock("d", "other", 20, 1)) // evicts k
+	if m.Has("d", "k") {
+		t.Fatal("k should have been evicted")
+	}
+	m.Register(intBlock("d", "k", 20, 1)) // rebuilt by a later scan
+	m.CreditScan("d", "k")
+	if got := m.Snapshot().Refused(RefuseSize); got != 2 {
+		t.Fatalf("size refusals after eviction and rebuild = %d, want 2", got)
+	}
+
+	// Budget: the index cannot fit while something else holds the arena.
+	// The refusal is not remembered, so the same block builds once space
+	// frees.
+	mem := storage.NewManager(16 << 10)
+	m = NewManager(mem, true)
+	m.Indexes = IndexOn
+	b := repeatedIntBlock("k", 1000, 10)
+	m.Register(b)
+	held := mem.ArenaBudget() - mem.ArenaUsed()
+	if !mem.ArenaReserve(held) {
+		t.Fatal("hold the rest of the arena")
+	}
+	m.NotePredicate("d", "k", 0.1)
+	if s := m.Snapshot(); s.Refused(RefuseBudget) != 1 || s.IndexBuilds != 0 {
+		t.Fatalf("budget refusal not counted: %+v", s)
+	}
+	mem.ArenaRelease(held)
+	if b.Index() != nil || !m.Register(b) {
+		t.Fatal("re-register after the budget refusal")
+	}
+	m.NotePredicate("d", "k", 0.1)
+	if s := m.Snapshot(); b.Index() == nil || s.IndexBuilds != 1 || s.Refused(RefuseBudget) != 1 {
+		t.Fatalf("budget refusal must retry once space frees: %+v", s)
 	}
 }
 

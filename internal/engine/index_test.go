@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -138,5 +139,70 @@ func TestAdaptiveIndexPromotion(t *testing.T) {
 	}
 	if cs.IndexHits == 0 {
 		t.Fatalf("promoted index never served a filter: %+v", cs)
+	}
+}
+
+// TestRefusedIndexAttemptedOnce is the regression for repeated refused
+// builds: under IndexAuto, a cached column with 5 000 distinct keys crosses
+// the hot-scan threshold once, is refused once (too many keys), and is not
+// attempted again by the queries after it. The refused attempt must not
+// allocate per-key bitmaps: all ten queries together allocate less than 4x
+// the column's bytes more than the same queries with indexes off.
+// Parallelism 1 pins the serial plan, which credits every scan.
+func TestRefusedIndexAttemptedOnce(t *testing.T) {
+	const rows, keys = 20000, 5000
+	mk := func(mode cache.IndexMode) *Engine {
+		e := New(Config{CacheEnabled: true, Indexes: mode, Parallelism: 1})
+		var sb strings.Builder
+		for i := 0; i < rows; i++ {
+			fmt.Fprintf(&sb, "%d,%d\n", i, i%keys)
+		}
+		e.Mem().PutFile("mem://wide.csv", []byte(sb.String()))
+		schema := types.NewRecordType(
+			types.Field{Name: "id", Type: types.Int},
+			types.Field{Name: "k", Type: types.Int},
+		)
+		if err := e.Register("wide", "mem://wide.csv", "csv", schema, plugin.Options{}); err != nil {
+			t.Fatalf("register csv: %v", err)
+		}
+		return e
+	}
+	const q = "SELECT COUNT(*) FROM wide WHERE k = 7"
+	run := func(e *Engine) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 10; i++ {
+			res, err := e.QuerySQL(q)
+			if err != nil {
+				t.Fatalf("run %d: %v", i, err)
+			}
+			if got := res.Scalar().AsInt(); got != rows/keys {
+				t.Fatalf("run %d: count = %d, want %d", i, got, rows/keys)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	auto, off := mk(cache.IndexAuto), mk(cache.IndexOff)
+	autoAlloc, offAlloc := run(auto), run(off)
+
+	cs := auto.Caches().Snapshot()
+	if cs.Refused(cache.RefuseKeys) != 1 || cs.IndexBuilds != 0 {
+		t.Fatalf("want exactly one refused attempt and no build: %+v", cs)
+	}
+	blk, ok := auto.Caches().Lookup("wide", "k")
+	if !ok {
+		t.Fatal("column k is not cached")
+	}
+	if extra := int64(autoAlloc) - int64(offAlloc); extra >= 4*blk.Bytes() {
+		t.Fatalf("index attempts allocated %d bytes over indexes-off, want < 4 x %d column bytes", extra, blk.Bytes())
+	}
+	m := auto.Metrics()
+	if m.Cache.IndexRefusals["keys"] != 1 || m.Cache.IndexBuildNanos <= 0 {
+		t.Fatalf("metrics miss the refusal: %+v", m.Cache)
+	}
+	if prom := m.Prometheus(); !strings.Contains(prom, `proteus_cache_index_refusals_total{reason="keys"} 1`) ||
+		!strings.Contains(prom, "proteus_cache_index_build_seconds_total ") {
+		t.Fatal("Prometheus text misses the index refusal families")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"time"
 
+	"proteus/internal/cache"
 	"proteus/internal/exec"
 	"proteus/internal/obs"
 )
@@ -127,6 +128,10 @@ func (e *Engine) ExplainAnalyzeComp(query string) (*exec.Result, *obs.QueryProfi
 // manager's view and catalog gauges.
 func (e *Engine) Metrics() obs.Snapshot {
 	cs := e.caches.Snapshot()
+	refusals := make(map[string]int64, len(cs.IndexRefusals))
+	for i, reason := range cache.IndexRefusalReasons {
+		refusals[reason] = cs.IndexRefusals[i]
+	}
 	snap := e.metrics.Snapshot(obs.CacheCounters{
 		Blocks:     cs.Blocks,
 		JoinSides:  cs.JoinSides,
@@ -141,6 +146,9 @@ func (e *Engine) Metrics() obs.Snapshot {
 		IndexBuilds: cs.IndexBuilds,
 		IndexHits:   cs.IndexHits,
 		ZoneSkips:   cs.ZoneSkips,
+
+		IndexRefusals:   refusals,
+		IndexBuildNanos: cs.IndexBuildNanos,
 	})
 	e.mu.Lock()
 	snap.Datasets = len(e.datasets)

@@ -144,6 +144,12 @@ type CacheCounters struct {
 	IndexBuilds int64 `json:"index_builds"` // indexes built (incl. rebuilt)
 	IndexHits   int64 `json:"index_hits"`   // filters answered from an index
 	ZoneSkips   int64 `json:"zone_skips"`   // scan windows skipped by zone maps
+
+	// IndexRefusals counts refused index builds by reason (kind, keys, size,
+	// budget); IndexBuildNanos is the wall time of every build attempt,
+	// refused ones included.
+	IndexRefusals   map[string]int64 `json:"index_refusals,omitempty"`
+	IndexBuildNanos int64            `json:"index_build_nanos"`
 }
 
 // Snapshot is a point-in-time copy of every engine metric, JSON-ready for
@@ -433,6 +439,19 @@ func (s Snapshot) Prometheus() string {
 	gauge("proteus_cache_indexes", "Cache blocks carrying a bitmap index.", int64(s.Cache.Indexes))
 	gauge("proteus_cache_index_bytes", "Bytes held by cache bitmap indexes.", s.Cache.IndexBytes)
 	counter("proteus_cache_index_builds_total", "Bitmap indexes built over cache blocks.", fmt.Sprint(s.Cache.IndexBuilds))
+	if len(s.Cache.IndexRefusals) > 0 {
+		b.WriteString("# HELP proteus_cache_index_refusals_total Bitmap index builds refused, by reason.\n")
+		b.WriteString("# TYPE proteus_cache_index_refusals_total counter\n")
+		reasons := make([]string, 0, len(s.Cache.IndexRefusals))
+		for r := range s.Cache.IndexRefusals {
+			reasons = append(reasons, r)
+		}
+		sort.Strings(reasons)
+		for _, r := range reasons {
+			fmt.Fprintf(&b, "proteus_cache_index_refusals_total{reason=\"%s\"} %d\n", escapeLabel(r), s.Cache.IndexRefusals[r])
+		}
+	}
+	counter("proteus_cache_index_build_seconds_total", "Wall time of bitmap index build attempts, refused ones included.", seconds(s.Cache.IndexBuildNanos))
 	counter("proteus_cache_index_hits_total", "Filters answered from a cache bitmap index.", fmt.Sprint(s.Cache.IndexHits))
 	counter("proteus_cache_zone_skips_total", "Scan windows skipped by cache zone maps.", fmt.Sprint(s.Cache.ZoneSkips))
 

@@ -318,7 +318,7 @@ func (m *Manager) Register(b *Block) bool {
 		m.releaseLocked(old)
 		delete(m.blocks, k)
 	}
-	if !m.reserve(b.Bytes()) {
+	if !m.reserve(b.Bytes(), nil) {
 		return false
 	}
 	m.clock++
@@ -333,8 +333,11 @@ func (m *Manager) Register(b *Block) bool {
 // comparison is lexicographic on (FormatBias, lastUsed) — a single float
 // score of the form bias*1e9+lastUsed loses lastUsed precision once the
 // clock grows past float64's 53-bit mantissa and lets a large clock bleed
-// across bias classes. The caller holds m.mu.
-func (m *Manager) reserve(size int64) bool {
+// across bias classes. It evicts only once it knows the evictable bytes can
+// make room, so a reservation that fails anyway evicts nothing, and it never
+// evicts keep (the block an index is being reserved for; nil when
+// registering a block). The caller holds m.mu.
+func (m *Manager) reserve(size int64, keep *Block) bool {
 	if m.mem.ArenaReserve(size) {
 		return true
 	}
@@ -344,8 +347,19 @@ func (m *Manager) reserve(size int64) bool {
 		lastUsed int64
 	}
 	var cands []cand
+	var evictable int64
 	for k, b := range m.blocks {
+		if b == keep {
+			continue
+		}
 		cands = append(cands, cand{k, b.FormatBias, b.lastUsed})
+		evictable += b.Bytes()
+		if ix := b.Index(); ix != nil {
+			evictable += ix.Bytes()
+		}
+	}
+	if m.mem.ArenaUsed()-evictable+size > m.mem.ArenaBudget() {
+		return false
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].bias != cands[j].bias {
@@ -422,7 +436,7 @@ func (m *Manager) RegisterJoinSide(j *JoinSide) bool {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.reserve(j.Bytes) {
+	if !m.reserve(j.Bytes, nil) {
 		return false
 	}
 	m.clock++

@@ -300,8 +300,9 @@ func (bm *Bitmap) Clone() *Bitmap {
 
 // Or folds o into the receiver.
 func (bm *Bitmap) Or(o *Bitmap) {
+	dst := bm.words[:len(o.words)]
 	for i, w := range o.words {
-		bm.words[i] |= w
+		dst[i] |= w
 	}
 }
 
@@ -731,6 +732,109 @@ func (ix *Index) Lookup(op CmpOp, p Pred) (*Bitmap, bool) {
 	return nil, false
 }
 
+// Answers reports whether Lookup can answer op against a constant of the
+// given kind: any comparison on an int index, = and <> on a bool or string
+// index. It depends on no constant value, so a compiled program decides its
+// bitmap paths once and binds the bitmaps per literal.
+func (ix *Index) Answers(op CmpOp, kind types.Kind) bool {
+	switch ix.Kind {
+	case types.KindInt:
+		return kind == types.KindInt
+	case types.KindBool, types.KindString:
+		return kind == ix.Kind && (op == CmpEq || op == CmpNe)
+	}
+	return false
+}
+
+// LookupAll answers the conjunction of preds, all on this index's column,
+// with one bitmap. On an int index every range and equality predicate
+// narrows one interval of the sorted keys and a <> predicate drops one key,
+// so `v >= q AND v < q+25` ORs the bitmaps of at most 25 keys once, instead
+// of once per predicate plus an AND. A single-key answer is the index's own
+// bitmap; like every Lookup result it must not be modified.
+func (ix *Index) LookupAll(preds []Pred) (*Bitmap, bool) {
+	if len(preds) == 1 {
+		return ix.Lookup(preds[0].Op, preds[0])
+	}
+	if ix.Kind != types.KindInt {
+		var out *Bitmap
+		owned := false
+		for _, p := range preds {
+			bm, ok := ix.Lookup(p.Op, p)
+			if !ok {
+				return nil, false
+			}
+			switch {
+			case out == nil:
+				out = bm
+			case !owned:
+				out, owned = out.Clone(), true
+				fallthrough
+			default:
+				out.And(bm)
+			}
+		}
+		return out, out != nil
+	}
+	lo, hi := 0, len(ix.keys)
+	var drop []int // positions of keys a <> predicate excludes
+	for _, p := range preds {
+		if p.Kind != types.KindInt {
+			return nil, false
+		}
+		pos := sort.Search(len(ix.keys), func(i int) bool { return ix.keys[i] >= p.I })
+		exact := pos < len(ix.keys) && ix.keys[pos] == p.I
+		switch p.Op {
+		case CmpEq:
+			if !exact {
+				lo, hi = 0, 0
+			} else {
+				lo, hi = max(lo, pos), min(hi, pos+1)
+			}
+		case CmpNe:
+			if exact {
+				drop = append(drop, pos)
+			}
+		case CmpLt:
+			hi = min(hi, pos)
+		case CmpLe:
+			if exact {
+				pos++
+			}
+			hi = min(hi, pos)
+		case CmpGt:
+			if exact {
+				pos++
+			}
+			lo = max(lo, pos)
+		case CmpGe:
+			lo = max(lo, pos)
+		default:
+			return nil, false
+		}
+	}
+	switch {
+	case lo >= hi:
+		return NewBitmap(ix.rows), true
+	case lo == 0 && hi == len(ix.keys):
+		// No range bound: every non-null row minus the dropped keys.
+		out := ix.nonNull.Clone()
+		for _, d := range drop {
+			out.AndNot(&ix.bitmaps[d])
+		}
+		return out, true
+	case hi-lo == 1 && !slices.Contains(drop, lo):
+		return &ix.bitmaps[lo], true
+	}
+	out := NewBitmap(ix.rows)
+	for i := lo; i < hi; i++ {
+		if !slices.Contains(drop, i) {
+			out.Or(&ix.bitmaps[i])
+		}
+	}
+	return out, true
+}
+
 // Dict returns the string dictionary of a string-column index (nil for
 // non-string indexes). The execution layer uses it to evaluate string
 // predicates on dictionary codes instead of row values.
@@ -874,14 +978,7 @@ func (m *Manager) ensureIndexLocked(k string) {
 		m.idxRefusals[r-1].Add(1)
 		return
 	}
-	if !m.reserve(p.bytes) {
-		m.idxRefusals[RefuseBudget-1].Add(1)
-		return
-	}
-	if m.blocks[k] != b {
-		// reserve's eviction pass removed the block itself; don't leak the
-		// reservation onto an unreachable index.
-		m.mem.ArenaRelease(p.bytes)
+	if !m.reserve(p.bytes, b) {
 		m.idxRefusals[RefuseBudget-1].Add(1)
 		return
 	}

@@ -656,26 +656,28 @@ func TestIndexRefusalMemo(t *testing.T) {
 		t.Fatalf("size refusals after eviction and rebuild = %d, want 2", got)
 	}
 
-	// Budget: the index cannot fit while something else holds the arena.
-	// The refusal is not remembered, so the same block builds once space
-	// frees.
+	// Budget: the index cannot fit while something else holds the arena,
+	// and evicting the small neighbour could not make room either, so the
+	// refusal evicts nothing: the block and its neighbour survive it. The
+	// refusal is not remembered, so the same block builds once space frees.
 	mem := storage.NewManager(16 << 10)
 	m = NewManager(mem, true)
 	m.Indexes = IndexOn
 	b := repeatedIntBlock("k", 1000, 10)
 	m.Register(b)
+	m.Register(intBlock("d", "n", 10, 1))
 	held := mem.ArenaBudget() - mem.ArenaUsed()
 	if !mem.ArenaReserve(held) {
 		t.Fatal("hold the rest of the arena")
 	}
 	m.NotePredicate("d", "k", 0.1)
-	if s := m.Snapshot(); s.Refused(RefuseBudget) != 1 || s.IndexBuilds != 0 {
-		t.Fatalf("budget refusal not counted: %+v", s)
+	if s := m.Snapshot(); s.Refused(RefuseBudget) != 1 || s.IndexBuilds != 0 || s.Evictions != 0 {
+		t.Fatalf("budget refusal not counted, or it evicted: %+v", s)
+	}
+	if got, ok := m.Lookup("d", "k"); !ok || got != b || !m.Has("d", "n") {
+		t.Fatal("a budget refusal must leave the block and its neighbour cached")
 	}
 	mem.ArenaRelease(held)
-	if b.Index() != nil || !m.Register(b) {
-		t.Fatal("re-register after the budget refusal")
-	}
 	m.NotePredicate("d", "k", 0.1)
 	if s := m.Snapshot(); b.Index() == nil || s.IndexBuilds != 1 || s.Refused(RefuseBudget) != 1 {
 		t.Fatalf("budget refusal must retry once space frees: %+v", s)
@@ -695,5 +697,76 @@ func TestIndexEvictionAccounting(t *testing.T) {
 	m.Drop("d")
 	if used := m.mem.ArenaUsed(); used != 0 {
 		t.Fatalf("arena after drop = %d, want 0", used)
+	}
+}
+
+// TestLookupAllMatchesLookups checks that one merged lookup of a conjunction
+// equals the AND of its predicates' single lookups, row for row: ranges,
+// equalities, <> inside and outside the range, empty intervals and keys
+// absent from the column, on int (with NULLs), string and bool indexes.
+func TestLookupAllMatchesLookups(t *testing.T) {
+	ib := &Block{Kind: types.KindInt, Rows: 500, Ints: make([]int64, 500), Nulls: make([]bool, 500)}
+	for i := range ib.Ints {
+		ib.Ints[i] = int64((i * 37) % 41 * 2) // even keys 0..80
+		ib.Nulls[i] = i%11 == 0
+	}
+	sb := &Block{Kind: types.KindString, Rows: 300, Strs: make([]string, 300)}
+	for i := range sb.Strs {
+		sb.Strs[i] = fmt.Sprintf("s%d", i%7)
+	}
+	bb := &Block{Kind: types.KindBool, Rows: 200, Bools: make([]bool, 200)}
+	for i := range bb.Bools {
+		bb.Bools[i] = i%3 == 0
+	}
+	ii, si, bi := BuildIndexFor(ib), BuildIndexFor(sb), BuildIndexFor(bb)
+	in := func(op CmpOp, k int64) Pred { return Pred{Op: op, Kind: types.KindInt, I: k} }
+	st := func(op CmpOp, s string) Pred { return Pred{Op: op, Kind: types.KindString, S: s} }
+	bo := func(op CmpOp, b bool) Pred { return Pred{Op: op, Kind: types.KindBool, B: b} }
+	cases := []struct {
+		ix    *Index
+		preds []Pred
+	}{
+		{ii, []Pred{in(CmpGe, 10), in(CmpLt, 35)}},
+		{ii, []Pred{in(CmpGt, 10), in(CmpLe, 34)}},
+		{ii, []Pred{in(CmpGe, 11), in(CmpLt, 12)}}, // no key inside
+		{ii, []Pred{in(CmpGe, 12), in(CmpLt, 14)}}, // one key
+		{ii, []Pred{in(CmpGe, 40), in(CmpLt, 10)}}, // empty interval
+		{ii, []Pred{in(CmpEq, 20), in(CmpLe, 30)}},
+		{ii, []Pred{in(CmpEq, 21), in(CmpLe, 30)}}, // absent key
+		{ii, []Pred{in(CmpGe, 10), in(CmpLt, 30), in(CmpNe, 20)}},
+		{ii, []Pred{in(CmpGe, 12), in(CmpLt, 14), in(CmpNe, 12)}},
+		{ii, []Pred{in(CmpNe, 20), in(CmpNe, 40)}},
+		{ii, []Pred{in(CmpNe, 21), in(CmpGt, -5)}},
+		{ii, []Pred{in(CmpLe, 1000), in(CmpGe, -1000)}},
+		{si, []Pred{st(CmpNe, "s1"), st(CmpNe, "s4")}},
+		{si, []Pred{st(CmpEq, "s2"), st(CmpNe, "absent")}},
+		{si, []Pred{st(CmpEq, "absent"), st(CmpNe, "s1")}},
+		{bi, []Pred{bo(CmpNe, false), bo(CmpEq, true)}},
+	}
+	for i, c := range cases {
+		got, ok := c.ix.LookupAll(c.preds)
+		if !ok {
+			t.Fatalf("case %d: LookupAll refused %v", i, c.preds)
+		}
+		for row := int64(0); row < c.ix.Rows(); row++ {
+			want := true
+			for _, p := range c.preds {
+				bm, ok := c.ix.Lookup(p.Op, p)
+				if !ok {
+					t.Fatalf("case %d: Lookup refused %+v", i, p)
+				}
+				want = want && bm.Get(row)
+			}
+			if got.Get(row) != want {
+				t.Fatalf("case %d %+v: row %d = %v, want %v", i, c.preds, row, got.Get(row), want)
+			}
+		}
+	}
+	if _, ok := ii.LookupAll([]Pred{in(CmpGe, 1), {Op: CmpLt, Kind: types.KindFloat, F: 2}}); ok {
+		t.Error("an int index answered a float bound")
+	}
+	if !ii.Answers(CmpLt, types.KindInt) || ii.Answers(CmpLt, types.KindFloat) ||
+		si.Answers(CmpLt, types.KindString) || !si.Answers(CmpNe, types.KindString) || !bi.Answers(CmpEq, types.KindBool) {
+		t.Error("Answers disagrees with Lookup")
 	}
 }

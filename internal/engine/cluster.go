@@ -40,7 +40,7 @@ func (e *Engine) ExecuteFragment(ctx context.Context, lang, query string, start,
 	}
 	defer e.leave(cancel)
 	p, err := func() (*exec.Partial, error) {
-		c, err := parse(lang, query)
+		c, err := e.parse(lang, query, nil)
 		if err != nil {
 			return nil, err
 		}

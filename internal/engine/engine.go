@@ -443,7 +443,7 @@ func (l profLevel) spec() *exec.ProfileSpec {
 	if l == profOff {
 		return nil
 	}
-	return &exec.ProfileSpec{Timing: l == profTimed, Events: l >= profEvents, Estimates: map[algebra.Node]float64{}}
+	return &exec.ProfileSpec{Timing: l == profTimed, Events: l >= profEvents}
 }
 
 // observedLevel is the level of a traced, non-EXPLAIN query: counters, plus
@@ -503,35 +503,81 @@ func (e *Engine) runQuery(ctx context.Context, lang, query string, level profLev
 	return res, qp, nil
 }
 
-// lookup is the plan-cache stage: the statement's program from the cache
-// when its (lang, normalized text, level) entry is current and idle, freshly
-// prepared — and stored for the next run — otherwise. A hit marks a traced
-// profile PlanCached: it has no parse..compile spans. The returned entry
-// (nil without a plan cache) is locked until the caller releases it.
-func (e *Engine) lookup(ctx context.Context, lang, query string, level profLevel, qp *obs.QueryProfile) (*Prepared, *planEntry, error) {
+// lookup is the plan-cache stage (plancache.go). A text hit returns the
+// program of the statement's shape with the text's binding installed. Else
+// the front end runs — unless the text is known, and only its shape's
+// programs are busy or evicted — and a shape hit binds the text's literals
+// into an idle program of its shape; only a miss compiles. Both hits mark a
+// traced profile PlanCached; a shape hit records its bind as the compile
+// phase. The returned program (nil without a plan cache) is locked until
+// the caller releases it.
+func (e *Engine) lookup(ctx context.Context, lang, query string, level profLevel, qp *obs.QueryProfile) (*Prepared, *pooledProg, error) {
 	if e.plans == nil {
 		p, err := e.prepare(ctx, lang, query, level, qp)
 		return p, nil, err
 	}
-	// Both epochs are captured before prepare on purpose: a run that itself
-	// registers cache blocks stores its entry stamped with the pre-run cache
-	// epoch, so the next identical query misses and recompiles into a
+	// Both epochs are captured before planning on purpose: a run that itself
+	// registers cache blocks stores its entries stamped with the pre-run
+	// cache epoch, so the next identical query misses and recompiles into a
 	// cache-aware plan instead of replaying the cold path forever.
+	pc := e.plans
 	key := planKey(lang, query, level)
 	catalogEpoch, cacheEpoch := e.planEpoch.Load(), e.caches.Epoch()
-	if en := e.plans.lookup(key, catalogEpoch, cacheEpoch); en != nil {
-		e.metrics.PlanCacheHits.Add(1)
+	te, pp, why := pc.lookupText(key, catalogEpoch, cacheEpoch)
+	if pp != nil {
+		e.metrics.CountPlanHit(false)
 		if qp != nil {
 			qp.PlanCached = true
 		}
-		return en.prepared, en, nil
+		return &pp.prep, pp, nil
 	}
-	e.metrics.PlanCacheMisses.Add(1)
-	p, err := e.prepare(ctx, lang, query, level, qp)
+	var plan algebra.Node
+	var sortSpec *exec.SortSpec
+	var skey string
+	if te != nil {
+		plan, sortSpec, skey = te.plan, te.sort, te.shape.key
+	} else {
+		c, err := e.parse(lang, query, qp)
+		if err != nil {
+			return nil, nil, err
+		}
+		if plan, err = e.planFor(ctx, c, qp); err != nil {
+			return nil, nil, err
+		}
+		sortSpec = sortSpecOf(c)
+		skey = shapeKey(plan, exec.ParamsOf(plan), sortSpec, level)
+		textWhy := why
+		var sh *shapeEntry
+		if pp, sh, why = pc.lookupShape(skey, catalogEpoch, cacheEpoch); pp != nil {
+			end := phase(qp, obs.PhaseCompile)
+			bd, err := pp.prep.Program.Bind(plan, level.estimates(plan, e))
+			end()
+			if err == nil {
+				e.metrics.CountPlanHit(true)
+				if qp != nil {
+					qp.PlanCached = true
+				}
+				pp.prep.Plan, pp.prep.Sort = plan, sortSpec
+				pc.storeText(key, &textEntry{shape: sh, plan: plan, sort: sortSpec, binding: bd, catalogEpoch: catalogEpoch, cacheEpoch: cacheEpoch})
+				return &pp.prep, pp, nil
+			}
+			// A shape-key collision between different plans: compile.
+			pp.release()
+			why = obs.PlanMissCold
+		}
+		if textWhy == obs.PlanMissEpoch && why != obs.PlanMissBusy {
+			why = textWhy // the text's own entry went stale first
+		}
+	}
+	e.metrics.CountPlanMiss(why)
+	prog, err := e.compile(ctx, plan, sortSpec, level, qp)
 	if err != nil {
 		return nil, nil, err
 	}
-	return p, e.plans.store(key, p, catalogEpoch, cacheEpoch), nil
+	pp, sh := pc.storeProgram(skey, prog, catalogEpoch, cacheEpoch)
+	pp.prep.Plan, pp.prep.Sort = plan, sortSpec
+	pc.storeText(key, &textEntry{shape: sh, plan: plan, sort: sortSpec, binding: prog.Binding(), catalogEpoch: catalogEpoch, cacheEpoch: cacheEpoch})
+	return &pp.prep, pp, nil
 }
 
 // ctxErr reports a done context as its cancellation cause (Canceled,
@@ -543,23 +589,10 @@ func ctxErr(ctx context.Context) error {
 	return nil
 }
 
-// parse runs the statement through its language's parser.
-func parse(lang, query string) (*calculus.Comprehension, error) {
-	if lang == LangSQL {
-		return sql.Parse(query)
-	}
-	return comp.Parse(query)
-}
-
-// prepare is the miss path: parse, the front half shared with fragments
-// (planFor), then compile at the requested level — profOff compiles the
-// exact unprofiled program. Phases are traced into qp when it is non-nil;
-// a profiled compile also records the optimizer's cardinality estimate per
-// plan node, so EXPLAIN ANALYZE can print estimated vs. actual rows.
+// prepare is the uncached path: parse, the front half shared with
+// fragments (planFor), then compile at the requested level.
 func (e *Engine) prepare(ctx context.Context, lang, query string, level profLevel, qp *obs.QueryProfile) (*Prepared, error) {
-	end := phase(qp, obs.PhaseParse)
-	c, err := parse(lang, query)
-	end()
+	c, err := e.parse(lang, query, qp)
 	if err != nil {
 		return nil, err
 	}
@@ -567,19 +600,53 @@ func (e *Engine) prepare(ctx context.Context, lang, query string, level profLeve
 	if err != nil {
 		return nil, err
 	}
+	sortSpec := sortSpecOf(c)
+	prog, err := e.compile(ctx, plan, sortSpec, level, qp)
+	if err != nil {
+		return nil, err
+	}
+	return &Prepared{Plan: plan, Program: prog, Sort: sortSpec}, nil
+}
+
+// parse runs the statement through its language's parser, traced into qp
+// when it is non-nil.
+func (e *Engine) parse(lang, query string, qp *obs.QueryProfile) (*calculus.Comprehension, error) {
+	end := phase(qp, obs.PhaseParse)
+	defer end()
+	if lang == LangSQL {
+		return sql.Parse(query)
+	}
+	return comp.Parse(query)
+}
+
+// estimates returns the optimizer's cardinality estimate per plan node for
+// a profiled level, so EXPLAIN ANALYZE can print estimated vs. actual rows;
+// nil at profOff.
+func (l profLevel) estimates(plan algebra.Node, e *Engine) map[algebra.Node]float64 {
+	if l == profOff {
+		return nil
+	}
+	est := map[algebra.Node]float64{}
+	optEnv := &optimizer.Env{Stats: e.stats, Costs: e}
+	algebra.Walk(plan, func(n algebra.Node) bool {
+		est[n] = optimizer.EstimateCard(n, optEnv)
+		return true
+	})
+	return est
+}
+
+// compile is the miss path's back half: compile the optimized plan at the
+// requested level — profOff compiles the exact unprofiled program — and
+// wrap it with the statement's ORDER BY / LIMIT unless it absorbed them.
+func (e *Engine) compile(ctx context.Context, plan algebra.Node, sortSpec *exec.SortSpec, level profLevel, qp *obs.QueryProfile) (*exec.Program, error) {
 	spec := level.spec()
 	if spec != nil {
-		optEnv := &optimizer.Env{Stats: e.stats, Costs: e}
-		algebra.Walk(plan, func(n algebra.Node) bool {
-			spec.Estimates[n] = optimizer.EstimateCard(n, optEnv)
-			return true
-		})
+		spec.Estimates = level.estimates(plan, e)
 	}
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	sortSpec := sortSpecOf(c)
-	end = phase(qp, obs.PhaseCompile)
+	end := phase(qp, obs.PhaseCompile)
 	prog, err := exec.CompileParallel(plan, e.execEnv(spec, sortSpec), e.parallelism)
 	end()
 	if err != nil {
@@ -601,7 +668,7 @@ func (e *Engine) prepare(ctx context.Context, lang, query string, level profLeve
 			return orderAndLimit(res, orderBy, desc, limit)
 		})
 	}
-	return &Prepared{Plan: plan, Program: prog, Sort: sortSpec}, nil
+	return prog, nil
 }
 
 // planFor is the front half of the pipeline — calculus → optimize — shared

@@ -1,133 +1,311 @@
 package engine
 
 import (
-	"sort"
+	"fmt"
+	"hash/maphash"
 	"strings"
 	"sync"
+
+	"proteus/internal/algebra"
+	"proteus/internal/exec"
+	"proteus/internal/expr"
+	"proteus/internal/obs"
 )
 
-// planCache memoizes compiled queries so a repeated statement skips the
-// whole front end (parse → calculus → optimize → compile) and jumps
-// straight to its specialized program. Entries are keyed by profile level,
-// language and whitespace-normalized query text — a traced program is
-// cached beside the untraced one, never instead of it — and stamped with the catalog and cache
-// epochs observed at compile time: any catalog change (register/drop/plug-in)
-// or cache-content change (block registered or evicted) silently invalidates
-// affected entries, because the compiled program may bake in dataset
-// layouts, cache-hit scan paths, or cache-build claims that no longer hold.
+// planCache memoizes compiled queries on two levels, so a statement skips as
+// much of the front end (parse → calculus → optimize → compile) as its
+// history allows:
+//
+//   - The text level is keyed by profile level, language and
+//     whitespace-normalized text. A text entry holds the text's own plan and
+//     ORDER BY / LIMIT, its binding (exec.Binding: the literals plus the
+//     bitmaps and zone predicates derived from them) and its shape. It holds
+//     no program. A repeated text skips the whole front end, and installing
+//     its binding into an idle program allocates nothing.
+//   - The shape level is keyed by profile level, the ORDER BY / LIMIT and
+//     the optimized plan's fingerprint with every bind-time literal replaced
+//     by a typed slot (exec.ShapeKey). A shape entry owns the compiled
+//     programs. A new text of a known shape runs parse → optimize, then binds
+//     its literals into an idle program of the shape instead of compiling.
+//
+// Both levels are stamped with the catalog and cache epochs observed before
+// the statement was planned: any catalog change (register/drop/plug-in) or
+// cache-content change (block registered or evicted, index built) silently
+// invalidates affected entries, because a compiled program bakes in dataset
+// layouts, cache-hit scan paths and index access paths that no longer hold.
 //
 // A Program is not runnable concurrently with itself (compiled accumulators
-// hold per-run state), so each entry carries a mutex held for the duration
-// of the run. A second identical query arriving mid-run simply misses and
-// compiles fresh rather than blocking — plan caching is an optimization,
-// never a serialization point.
+// hold per-run state), so each program is locked for the duration of its
+// run. A statement whose shape has no idle program compiles one more, which
+// joins the shape's pool while it holds fewer than maxShapePrograms — plan
+// caching is an optimization, never a serialization point. Programs count
+// against the capacity; text entries are bounded by it separately.
 type planCache struct {
-	mu      sync.Mutex
-	entries map[string]*planEntry
-	cap     int
-	tick    uint64 // logical clock for LRU ordering
+	mu       sync.Mutex
+	texts    map[string]*textEntry
+	shapes   map[string]*shapeEntry
+	programs int // programs held by all shapes
+	cap      int
+	tick     uint64 // logical clock for LRU ordering
+	// gone remembers the hashes of shape keys evicted for room, so a later
+	// miss on one counts as evicted rather than cold. Cleared when it
+	// outgrows 4×cap.
+	gone map[uint64]struct{}
+	seed maphash.Seed
 }
 
-type planEntry struct {
-	mu           sync.Mutex // held while the entry's program is running
-	prepared     *Prepared
+// maxShapePrograms bounds one shape's pool of programs.
+const maxShapePrograms = 4
+
+// textEntry is one normalized text: what its runs must see of their own —
+// plan, ORDER BY / LIMIT, binding — and the shape whose programs run it.
+type textEntry struct {
+	shape        *shapeEntry
+	plan         algebra.Node
+	sort         *exec.SortSpec
+	binding      *exec.Binding
 	catalogEpoch uint64
 	cacheEpoch   uint64
 	lastUsed     uint64
 }
 
-// release hands the entry back after its program finished running; a nil
-// entry (plan caching off) is a no-op.
-func (en *planEntry) release() {
-	if en != nil {
-		en.mu.Unlock()
+// shapeEntry owns the compiled programs of one shape.
+type shapeEntry struct {
+	key          string
+	progs        []*pooledProg
+	catalogEpoch uint64
+	cacheEpoch   uint64
+	lastUsed     uint64
+	evicted      bool // its programs were dropped for room
+}
+
+// pooledProg is one program of a shape, locked while it runs. prep hands the
+// running statement the program with its own plan and ORDER BY / LIMIT, so
+// EXPLAIN, profiles and the scatter path never see another text's.
+type pooledProg struct {
+	mu   sync.Mutex
+	prep Prepared
+}
+
+// release hands the program back after its run; a nil program (plan
+// caching off) is a no-op.
+func (pp *pooledProg) release() {
+	if pp != nil {
+		pp.mu.Unlock()
 	}
 }
 
 func newPlanCache(capacity int) *planCache {
-	return &planCache{entries: map[string]*planEntry{}, cap: capacity}
+	return &planCache{
+		texts: map[string]*textEntry{}, shapes: map[string]*shapeEntry{}, cap: capacity,
+		gone: map[uint64]struct{}{}, seed: maphash.MakeSeed(),
+	}
 }
 
-// planKey builds the cache key: profile level, language tag, and the query
+// planKey builds the text key: profile level, language tag, and the query
 // text with runs of whitespace collapsed. No case folding — string literals
 // are case-sensitive, and the parser already treats keywords uniformly.
 func planKey(lang, query string, level profLevel) string {
 	return "0123"[level:level+1] + lang + "\x00" + strings.Join(strings.Fields(query), " ")
 }
 
-// lookup returns the entry for key locked and ready to run, or nil on a
-// miss. Entries whose recorded epochs no longer match the current ones are
-// dropped on sight; entries busy running another query count as misses.
-func (pc *planCache) lookup(key string, catalogEpoch, cacheEpoch uint64) *planEntry {
+// shapeKey builds the shape key of an optimized plan: profile level, the
+// ORDER BY / LIMIT (absorbed into the program, so part of its shape) and the
+// plan's fingerprint with params as typed slots.
+func shapeKey(plan algebra.Node, params []*expr.Const, sort *exec.SortSpec, level profLevel) string {
+	head := "0123"[level : level+1]
+	if sort != nil {
+		head += fmt.Sprint(sort.By, sort.Desc, sort.Limit)
+	}
+	return head + "\x00" + exec.ShapeKey(plan, params)
+}
+
+// current reports whether entries stamped with these epochs are still valid.
+func current(catalogEpoch, cacheEpoch, wantCatalog, wantCache uint64) bool {
+	return catalogEpoch == wantCatalog && cacheEpoch == wantCache
+}
+
+// acquire locks an idle program of the shape, or returns nil when all of
+// them are running. The caller holds pc.mu.
+func (sh *shapeEntry) acquire() *pooledProg {
+	for _, pp := range sh.progs {
+		if pp.mu.TryLock() {
+			return pp
+		}
+	}
+	return nil
+}
+
+// lookupText resolves a text key. A current text whose shape has an idle
+// program returns it locked, with the text's binding installed (a text
+// hit). Otherwise te is the current text entry when there is one — its plan
+// can be compiled without the front end — and why is the reason to count
+// if the statement ends up compiling.
+func (pc *planCache) lookupText(key string, catalogEpoch, cacheEpoch uint64) (te *textEntry, pp *pooledProg, why obs.PlanMiss) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	en, ok := pc.entries[key]
-	if !ok {
-		return nil
+	te = pc.texts[key]
+	if te == nil {
+		return nil, nil, obs.PlanMissCold
 	}
-	if en.catalogEpoch != catalogEpoch || en.cacheEpoch != cacheEpoch {
-		delete(pc.entries, key)
-		return nil
-	}
-	if !en.mu.TryLock() {
-		return nil
+	if !current(te.catalogEpoch, te.cacheEpoch, catalogEpoch, cacheEpoch) {
+		delete(pc.texts, key)
+		return nil, nil, obs.PlanMissEpoch
 	}
 	pc.tick++
-	en.lastUsed = pc.tick
-	return en
+	te.lastUsed = pc.tick
+	if te.shape.evicted {
+		// Re-attach to the shape if another text has compiled it again.
+		sh := pc.shapes[te.shape.key]
+		if sh == nil || !current(sh.catalogEpoch, sh.cacheEpoch, catalogEpoch, cacheEpoch) {
+			return te, nil, obs.PlanMissEvicted
+		}
+		te.shape = sh
+	}
+	te.shape.lastUsed = pc.tick
+	if pp = te.shape.acquire(); pp == nil {
+		return te, nil, obs.PlanMissBusy
+	}
+	if !pp.prep.Program.Install(te.binding) {
+		// The idle program was compiled against other cache contents than
+		// the one that derived the binding, both within one epoch stamp.
+		pp.release()
+		return te, nil, obs.PlanMissEpoch
+	}
+	pp.prep.Plan, pp.prep.Sort = te.plan, te.sort
+	return te, pp, 0
 }
 
-// store inserts a freshly prepared query and returns its entry locked (the
-// caller runs the program, then releases). If another goroutine stored the
-// key first, the resident entry wins and a detached locked entry is returned
-// so the caller's run/release sequence stays uniform.
-func (pc *planCache) store(key string, p *Prepared, catalogEpoch, cacheEpoch uint64) *planEntry {
-	en := &planEntry{prepared: p, catalogEpoch: catalogEpoch, cacheEpoch: cacheEpoch}
-	en.mu.Lock()
+// lookupShape returns an idle program of the shape key locked, or nil and
+// the reason a compile is needed.
+func (pc *planCache) lookupShape(key string, catalogEpoch, cacheEpoch uint64) (*pooledProg, *shapeEntry, obs.PlanMiss) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	sh := pc.shapes[key]
+	if sh == nil {
+		if _, ok := pc.gone[maphash.String(pc.seed, key)]; ok {
+			return nil, nil, obs.PlanMissEvicted
+		}
+		return nil, nil, obs.PlanMissCold
+	}
+	if !current(sh.catalogEpoch, sh.cacheEpoch, catalogEpoch, cacheEpoch) {
+		pc.dropShape(sh)
+		return nil, nil, obs.PlanMissEpoch
+	}
+	pc.tick++
+	sh.lastUsed = pc.tick
+	pp := sh.acquire()
+	if pp == nil {
+		return nil, sh, obs.PlanMissBusy
+	}
+	return pp, sh, 0
+}
+
+// storeProgram adds a freshly compiled program to its shape — creating or
+// replacing the shape entry when needed — and returns it locked (the caller
+// runs it, then releases). A program whose shape's pool is full comes back
+// detached, locked all the same, so the caller's run/release sequence stays
+// uniform; its shape entry is then nil. When every other shape is running,
+// the cache tolerates a transient overflow rather than blocking.
+func (pc *planCache) storeProgram(key string, prog *exec.Program, catalogEpoch, cacheEpoch uint64) (*pooledProg, *shapeEntry) {
+	pp := &pooledProg{prep: Prepared{Program: prog}}
+	pp.mu.Lock()
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	pc.tick++
-	en.lastUsed = pc.tick
-	if _, exists := pc.entries[key]; exists {
-		return en
+	sh := pc.shapes[key]
+	if sh != nil && (sh.catalogEpoch > catalogEpoch || sh.cacheEpoch > cacheEpoch) {
+		return pp, nil // a compile planned after this one is resident
 	}
-	pc.entries[key] = en
-	for len(pc.entries) > pc.cap {
-		if !pc.evictOne(key) {
-			break
-		}
+	if sh != nil && !current(sh.catalogEpoch, sh.cacheEpoch, catalogEpoch, cacheEpoch) {
+		pc.dropShape(sh)
+		sh = nil
 	}
-	return en
+	if sh != nil && len(sh.progs) >= maxShapePrograms {
+		return pp, nil
+	}
+	for pc.programs >= pc.cap && pc.evictShape(sh) {
+	}
+	if sh == nil {
+		sh = &shapeEntry{key: key, catalogEpoch: catalogEpoch, cacheEpoch: cacheEpoch}
+		pc.shapes[key] = sh
+		delete(pc.gone, maphash.String(pc.seed, key))
+	}
+	sh.lastUsed = pc.tick
+	sh.progs = append(sh.progs, pp)
+	pc.programs++
+	return pp, sh
 }
 
-// evictOne removes the least-recently-used entry other than keep, skipping
-// entries whose program is mid-run. Returns false when nothing is evictable
-// (every other entry is busy). Caller holds pc.mu.
-func (pc *planCache) evictOne(keep string) bool {
-	type cand struct {
-		key string
-		en  *planEntry
+// storeText records a text's entry; a nil shape (its program was not kept)
+// records nothing.
+func (pc *planCache) storeText(key string, te *textEntry) {
+	if te.shape == nil {
+		return
 	}
-	cands := make([]cand, 0, len(pc.entries))
-	for k, en := range pc.entries {
-		if k != keep {
-			cands = append(cands, cand{k, en})
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	pc.tick++
+	te.lastUsed = pc.tick
+	if _, exists := pc.texts[key]; !exists && len(pc.texts) >= pc.cap {
+		var lru string
+		var oldest *textEntry
+		for k, o := range pc.texts {
+			if oldest == nil || o.lastUsed < oldest.lastUsed {
+				lru, oldest = k, o
+			}
 		}
+		delete(pc.texts, lru)
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].en.lastUsed < cands[j].en.lastUsed })
-	for _, c := range cands {
-		if c.en.mu.TryLock() {
-			c.en.mu.Unlock()
-			delete(pc.entries, c.key)
-			return true
-		}
-	}
-	return false
+	pc.texts[key] = te
 }
 
-// size reports the number of resident entries (tests only).
+// dropShape removes a shape and its programs. The caller holds pc.mu.
+func (pc *planCache) dropShape(sh *shapeEntry) {
+	if pc.shapes[sh.key] == sh {
+		delete(pc.shapes, sh.key)
+	}
+	pc.programs -= len(sh.progs)
+	sh.progs = nil
+	sh.evicted = true
+}
+
+// evictShape evicts the least-recently-used shape other than keep whose
+// programs are all idle, and remembers its key. It returns false when
+// nothing is evictable. The caller holds pc.mu.
+func (pc *planCache) evictShape(keep *shapeEntry) bool {
+	var victim *shapeEntry
+	for _, sh := range pc.shapes {
+		if sh != keep && (victim == nil || sh.lastUsed < victim.lastUsed) && sh.idle() {
+			victim = sh
+		}
+	}
+	if victim == nil {
+		return false
+	}
+	pc.dropShape(victim)
+	if len(pc.gone) >= 4*pc.cap {
+		clear(pc.gone)
+	}
+	pc.gone[maphash.String(pc.seed, victim.key)] = struct{}{}
+	return true
+}
+
+// idle reports whether none of the shape's programs is running. The caller
+// holds pc.mu, so no run can start meanwhile.
+func (sh *shapeEntry) idle() bool {
+	for _, pp := range sh.progs {
+		if !pp.mu.TryLock() {
+			return false
+		}
+		pp.mu.Unlock()
+	}
+	return true
+}
+
+// size reports the number of programs held (tests only).
 func (pc *planCache) size() int {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	return len(pc.entries)
+	return pc.programs
 }

@@ -2,9 +2,11 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
+	"proteus/internal/obs"
 	"proteus/internal/plugin"
 	"proteus/internal/types"
 )
@@ -213,31 +215,39 @@ func TestPlanCacheConcurrentSameQuery(t *testing.T) {
 // planCache unit tests -------------------------------------------------------
 
 func TestPlanCacheStoreDetachedOnCollision(t *testing.T) {
-	pc := newPlanCache(4)
-	a := pc.store("k", &Prepared{}, 1, 1)
-	b := pc.store("k", &Prepared{}, 1, 1)
-	a.release()
-	b.release()
-	if pc.size() != 1 {
-		t.Errorf("size = %d, want 1", pc.size())
+	// Programs of one shape pool up to maxShapePrograms; one more comes
+	// back detached, and the pooled ones stay usable.
+	pc := newPlanCache(16)
+	var held []*pooledProg
+	for i := 0; i <= maxShapePrograms; i++ {
+		pp, sh := pc.storeProgram("k", nil, 1, 1)
+		if (sh == nil) != (i == maxShapePrograms) {
+			t.Fatalf("program %d: shape %v", i, sh)
+		}
+		held = append(held, pp)
 	}
-	// The resident entry is still usable.
-	if en := pc.lookup("k", 1, 1); en == nil {
-		t.Error("resident entry lost after collision")
+	for _, pp := range held {
+		pp.release()
+	}
+	if pc.size() != maxShapePrograms {
+		t.Errorf("size = %d, want %d", pc.size(), maxShapePrograms)
+	}
+	if pp, _, _ := pc.lookupShape("k", 1, 1); pp == nil {
+		t.Error("pooled program lost after the pool filled")
 	} else {
-		en.release()
+		pp.release()
 	}
 }
 
 func TestPlanCacheBusyEntryIsMiss(t *testing.T) {
 	pc := newPlanCache(4)
-	en := pc.store("k", &Prepared{}, 1, 1)
-	if got := pc.lookup("k", 1, 1); got != nil {
-		t.Fatal("lookup returned an entry whose program is mid-run")
+	pp, _ := pc.storeProgram("k", nil, 1, 1)
+	if got, _, why := pc.lookupShape("k", 1, 1); got != nil || why != obs.PlanMissBusy {
+		t.Fatalf("lookup returned a program that is mid-run (%v, %v)", got, why)
 	}
-	en.release()
-	if got := pc.lookup("k", 1, 1); got == nil {
-		t.Fatal("released entry should hit")
+	pp.release()
+	if got, _, _ := pc.lookupShape("k", 1, 1); got == nil {
+		t.Fatal("released program should hit")
 	} else {
 		got.release()
 	}
@@ -245,15 +255,17 @@ func TestPlanCacheBusyEntryIsMiss(t *testing.T) {
 
 func TestPlanCacheEpochMismatchDrops(t *testing.T) {
 	pc := newPlanCache(4)
-	pc.store("k", &Prepared{}, 1, 1).release()
-	if en := pc.lookup("k", 2, 1); en != nil {
+	pp, _ := pc.storeProgram("k", nil, 1, 1)
+	pp.release()
+	if got, _, why := pc.lookupShape("k", 2, 1); got != nil || why != obs.PlanMissEpoch {
 		t.Fatal("catalog-epoch mismatch should miss")
 	}
 	if pc.size() != 0 {
 		t.Errorf("stale entry not dropped, size = %d", pc.size())
 	}
-	pc.store("k", &Prepared{}, 2, 1).release()
-	if en := pc.lookup("k", 2, 2); en != nil {
+	pp, _ = pc.storeProgram("k", nil, 2, 1)
+	pp.release()
+	if got, _, why := pc.lookupShape("k", 2, 2); got != nil || why != obs.PlanMissEpoch {
 		t.Fatal("cache-epoch mismatch should miss")
 	}
 	if pc.size() != 0 {
@@ -263,16 +275,73 @@ func TestPlanCacheEpochMismatchDrops(t *testing.T) {
 
 func TestPlanCacheEvictionSkipsBusyEntries(t *testing.T) {
 	pc := newPlanCache(1)
-	busy := pc.store("a", &Prepared{}, 1, 1) // still running
-	pc.store("b", &Prepared{}, 1, 1).release()
+	busy, _ := pc.storeProgram("a", nil, 1, 1) // still running
+	pp, _ := pc.storeProgram("b", nil, 1, 1)
+	pp.release()
 	// "a" is busy and cannot be evicted; the cache tolerates transient
 	// overflow rather than blocking.
 	if pc.size() != 2 {
 		t.Errorf("size = %d, want 2 (busy entry unevictable)", pc.size())
 	}
 	busy.release()
-	pc.store("c", &Prepared{}, 1, 1).release()
+	pp, _ = pc.storeProgram("c", nil, 1, 1)
+	pp.release()
 	if pc.size() != 1 {
 		t.Errorf("size = %d, want 1 after releases", pc.size())
+	}
+	if _, _, why := pc.lookupShape("a", 1, 1); why != obs.PlanMissEvicted {
+		t.Errorf("evicted shape's miss reason = %v, want evicted", why)
+	}
+}
+
+// TestPlanCacheOutcomeCounters walks one engine through every plan-cache
+// outcome the metrics split: a cold miss, a shape hit, a text hit, an
+// epoch miss, an evicted miss and a busy miss, and checks Metrics() and
+// the Prometheus families.
+func TestPlanCacheOutcomeCounters(t *testing.T) {
+	e := newTestEngine(t, Config{PlanCacheSize: 1})
+	run := func(q string) {
+		t.Helper()
+		if _, err := e.QuerySQL(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run("SELECT SUM(val) FROM nums WHERE id < 4") // cold
+	run("SELECT SUM(val) FROM nums WHERE id < 2") // shape hit
+	run("SELECT SUM(val) FROM nums WHERE id < 2") // text hit
+	e.Drop("docs")
+	run("SELECT SUM(val) FROM nums WHERE id < 2") // epoch
+	run("SELECT COUNT(*) FROM nums")              // cold; evicts the SUM shape
+	run("SELECT SUM(val) FROM nums WHERE id < 3") // evicted
+	// Busy: the only program of the shape is running.
+	key := planKey(LangSQL, "SELECT SUM(val) FROM nums WHERE id < 3", profOff)
+	te, pp, _ := e.plans.lookupText(key, e.planEpoch.Load(), e.caches.Epoch())
+	if pp == nil {
+		t.Fatal("the last text should hit")
+	}
+	run("SELECT SUM(val) FROM nums WHERE id < 3") // busy
+	pp.release()
+	if te.plan == nil {
+		t.Fatal("text entry without its plan")
+	}
+
+	m := e.Metrics()
+	want := obs.PlanMisses{Cold: 2, Epoch: 1, Evicted: 1, Busy: 1}
+	if m.PlanCacheMissReasons != want || m.PlanCacheMisses != 5 {
+		t.Errorf("misses %d by reason %+v, want 5 %+v", m.PlanCacheMisses, m.PlanCacheMissReasons, want)
+	}
+	if m.PlanCacheTextHits != 1 || m.PlanCacheShapeHits != 1 || m.PlanCacheHits != 2 {
+		t.Errorf("hits text %d shape %d total %d, want 1 1 2", m.PlanCacheTextHits, m.PlanCacheShapeHits, m.PlanCacheHits)
+	}
+	prom := m.Prometheus()
+	for _, line := range []string{
+		`proteus_plan_cache_hits_total{level="text"} 1`,
+		`proteus_plan_cache_hits_total{level="shape"} 1`,
+		`proteus_plan_cache_misses_total{reason="cold"} 2`,
+		`proteus_plan_cache_misses_total{reason="busy"} 1`,
+	} {
+		if !strings.Contains(prom, line+"\n") {
+			t.Errorf("Prometheus output lacks %q", line)
+		}
 	}
 }

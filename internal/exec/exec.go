@@ -122,6 +122,9 @@ type Compiler struct {
 	// mem is the query's memory accountant (shared across clones); nil when
 	// no budget is configured, which compiles all accounting out.
 	mem *memGauge
+	// bind is the program's bind state (params.go), shared across clones:
+	// the literal frame and the sites a binding replaces.
+	bind *binder
 
 	// vectorized records that at least one pipeline segment compiled to
 	// batch kernels (surfaced as Program.Vectorized for the feedback store).

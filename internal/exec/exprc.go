@@ -97,8 +97,8 @@ func (c *Compiler) compileInt(e expr.Expr) (evalInt, error) {
 		if !types.Numeric(types.TypeOf(x.V)) {
 			return nil, fmt.Errorf("exec: constant %s is not numeric", x.V)
 		}
-		v := x.V.AsInt()
-		return func(*vbuf.Regs) (int64, bool) { return v, true }, nil
+		k := c.constCell(x)
+		return func(*vbuf.Regs) (int64, bool) { return k.i, true }, nil
 	case *expr.Ref, *expr.FieldAcc:
 		if s, ok := c.resolveSlot(e); ok {
 			if s.Class != vbuf.ClassInt {
@@ -190,8 +190,8 @@ func (c *Compiler) compileFloat(e expr.Expr) (evalFloat, error) {
 	}
 	switch x := e.(type) {
 	case *expr.Const:
-		v := x.V.AsFloat()
-		return func(*vbuf.Regs) (float64, bool) { return v, true }, nil
+		k := c.constCell(x)
+		return func(*vbuf.Regs) (float64, bool) { return k.f, true }, nil
 	case *expr.Ref, *expr.FieldAcc:
 		if s, ok := c.resolveSlot(e); ok {
 			if s.Class != vbuf.ClassFloat {
@@ -269,8 +269,8 @@ func (c *Compiler) compileFloat(e expr.Expr) (evalFloat, error) {
 func (c *Compiler) compileStr(e expr.Expr) (evalStr, error) {
 	switch x := e.(type) {
 	case *expr.Const:
-		v := x.V.S
-		return func(*vbuf.Regs) (string, bool) { return v, true }, nil
+		k := c.constCell(x)
+		return func(*vbuf.Regs) (string, bool) { return k.s, true }, nil
 	case *expr.Ref, *expr.FieldAcc:
 		if s, ok := c.resolveSlot(x); ok {
 			if s.Class != vbuf.ClassString {

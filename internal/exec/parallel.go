@@ -180,6 +180,12 @@ type workerUnit struct {
 // batch-capable (a static property of plan, catalog and Env.Vectorize), so
 // every clone of one plan under one Env makes the same choice.
 func (c *Compiler) compileUnit(plan algebra.Node) (*workerUnit, error) {
+	// A serial compile owns its bind state; the clones of a parallel one
+	// share the state CompileParallel binds after compiling them all.
+	own := c.bind == nil
+	if own {
+		c.bind = newBinder(plan, c.env)
+	}
 	c.bindings = map[string]*binding{}
 	c.envTypes = expr.Env{}
 	// Seed the type environment with every binding the plan introduces so
@@ -209,6 +215,11 @@ func (c *Compiler) compileUnit(plan algebra.Node) (*workerUnit, error) {
 	}
 	if err != nil {
 		return nil, err
+	}
+	if own {
+		if err := c.bind.bindInitial(c.env); err != nil {
+			return nil, err
+		}
 	}
 	return &workerUnit{
 		alloc: c.alloc, run: run, state: st,
@@ -277,17 +288,21 @@ func CompileParallel(plan algebra.Node, env *Env, workers int) (*Program, error)
 	if env.Profile != nil {
 		prof = newProgProf(plan, env.Profile, len(morsels))
 	}
+	bind := newBinder(plan, env)
 	var vectorized, sorted bool
 	for i := range morsels {
 		c := &Compiler{
 			env: env, driveScan: drive, morsel: &morsels[i], shared: sh,
-			workerID: i, prof: prof, cancel: cancel, mem: gauge,
+			workerID: i, prof: prof, cancel: cancel, mem: gauge, bind: bind,
 		}
 		if units[i], err = c.compileUnit(plan); err != nil {
 			return nil, err
 		}
 		vectorized = vectorized || units[i].vectorized
 		sorted = sorted || units[i].sorted
+	}
+	if err := bind.bindInitial(env); err != nil {
+		return nil, err
 	}
 	explain := units[0].explain
 	explain = append(explain,
@@ -386,7 +401,7 @@ func CompileParallel(plan algebra.Node, env *Env, workers int) (*Program, error)
 		alloc: units[0].alloc, run: run, Explain: explain,
 		Workers: len(units), Morsels: len(morsels),
 		Fingerprint: fingerprint, cancel: cancel, mem: gauge,
-		Vectorized: vectorized, Sorted: sorted,
+		Vectorized: vectorized, Sorted: sorted, bind: bind,
 	}
 	p.attachProf(prof)
 	return p, nil

@@ -115,13 +115,19 @@ func (p *progProf) resetRun() {
 // time is derived from "time above" measurements: each timed wrapper
 // records the time its operator's emissions spend in the pipeline above
 // it, so self(n) = Σ above(children) − above(n); a leaf scan's self time
-// is its driver time minus the time above it.
-func (p *progProf) snapshot() *obs.OpProfile {
-	root, _ := p.buildOp(p.plan)
+// is its driver time minus the time above it. The counters are keyed by
+// the compiled plan's nodes; labels and estimates come from the bound
+// plan, which has the same shape but its own literals.
+func (p *progProf) snapshot(bd *Binding) *obs.OpProfile {
+	shown, est := p.plan, p.estimates
+	if bd != nil && bd.plan != nil {
+		shown, est = bd.plan, bd.est
+	}
+	root, _ := p.buildOp(p.plan, shown, est)
 	return root
 }
 
-func (p *progProf) buildOp(n algebra.Node) (*obs.OpProfile, int64) {
+func (p *progProf) buildOp(n, shown algebra.Node, est map[algebra.Node]float64) (*obs.OpProfile, int64) {
 	var agg opCounters
 	if on, ok := p.byNode[n]; ok {
 		for i := range on.per {
@@ -136,13 +142,13 @@ func (p *progProf) buildOp(n algebra.Node) (*obs.OpProfile, int64) {
 			agg.scan.Add(c.scan)
 		}
 	}
-	op := &obs.OpProfile{Op: algebra.Label(n), Rows: agg.rows, Batches: agg.batches}
-	if est, ok := p.estimates[n]; ok {
-		op.EstRows = est
+	op := &obs.OpProfile{Op: algebra.Label(shown), Rows: agg.rows, Batches: agg.batches}
+	if e, ok := est[shown]; ok {
+		op.EstRows = e
 	}
 	var childAbove int64
-	for _, ch := range n.Children() {
-		cp, above := p.buildOp(ch)
+	for i, ch := range n.Children() {
+		cp, above := p.buildOp(ch, shown.Children()[i], est)
 		op.Children = append(op.Children, cp)
 		childAbove += above
 	}

@@ -214,6 +214,8 @@ type Program struct {
 	// mem is the per-query memory accountant; nil when Env.MemBudget is
 	// unset, in which case every charge site compiles the accounting out.
 	mem *memGauge
+	// bind holds the literal frame and the current binding (params.go).
+	bind *binder
 }
 
 // Run executes the program against a fresh register file.
@@ -274,7 +276,7 @@ func (p *Program) Profile() *obs.OpProfile {
 	if p.prof == nil {
 		return nil
 	}
-	return p.prof.snapshot()
+	return p.prof.snapshot(p.bind.bound)
 }
 
 // TotalNanos returns the last run's wall time inside the pipeline (before
@@ -378,7 +380,7 @@ func Compile(plan algebra.Node, env *Env) (*Program, error) {
 	p := &Program{
 		alloc: u.alloc, run: run, Explain: u.explain, Workers: 1, Morsels: 1,
 		Fingerprint: plan.Fingerprint(), cancel: c.cancel, mem: c.mem,
-		Vectorized: u.vectorized, Sorted: u.sorted,
+		Vectorized: u.vectorized, Sorted: u.sorted, bind: c.bind,
 	}
 	p.attachProf(c.prof)
 	return p, nil

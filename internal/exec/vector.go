@@ -232,8 +232,15 @@ func (c *Compiler) compileVecSeg(ch *vecChain) (*vecSeg, error) {
 		seg.builders = append(seg.builders, cachepg.NewBuilder(si.s.Dataset, br.key, br.kind, si.bias, br.slot, si.rows))
 	}
 
+	// The conjuncts of the whole chain on one indexed column share one
+	// bitmap (vindex.go) — in a profiled program only within each Select,
+	// so every Select still counts its own rows.
+	var sites []selectSite
 	for _, sel := range ch.selects {
-		conj, filters, err := c.compileSegFilter(si, sel.Pred)
+		if c.prof != nil {
+			sites = nil
+		}
+		conj, filters, err := c.compileSegFilter(si, sel.Pred, &sites)
 		if err != nil {
 			return nil, err
 		}

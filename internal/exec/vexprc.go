@@ -50,6 +50,25 @@ func mergeNulls(scratch, a, b []bool, n int) []bool {
 	return out
 }
 
+// constColumn is the kernel of a literal: a batch-wide column of *k,
+// refilled whenever a new binding changed *k.
+func constColumn[T cmp.Ordered](k *T) func(*vbuf.Batch) ([]T, []bool) {
+	col := make([]T, vbuf.BatchSize)
+	filled := *k
+	for i := range col {
+		col[i] = filled
+	}
+	return func(*vbuf.Batch) ([]T, []bool) {
+		if v := *k; v != filled {
+			for i := range col {
+				col[i] = v
+			}
+			filled = v
+		}
+		return col, nil
+	}
+}
+
 // compileVecInt compiles an integer-typed expression into a column kernel.
 func (c *Compiler) compileVecInt(e expr.Expr) (vecInt, error) {
 	switch x := e.(type) {
@@ -57,11 +76,7 @@ func (c *Compiler) compileVecInt(e expr.Expr) (vecInt, error) {
 		if !types.Numeric(types.TypeOf(x.V)) {
 			return nil, fmt.Errorf("exec: constant %s is not numeric", x.V)
 		}
-		col := make([]int64, vbuf.BatchSize)
-		for i := range col {
-			col[i] = x.V.AsInt()
-		}
-		return func(*vbuf.Batch) ([]int64, []bool) { return col, nil }, nil
+		return constColumn(&c.constCell(x).i), nil
 	case *expr.Ref, *expr.FieldAcc:
 		s, ok := c.resolveSlot(e)
 		if !ok || s.Class != vbuf.ClassInt {
@@ -168,11 +183,7 @@ func (c *Compiler) compileVecFloat(e expr.Expr) (vecFloat, error) {
 	}
 	switch x := e.(type) {
 	case *expr.Const:
-		col := make([]float64, vbuf.BatchSize)
-		for i := range col {
-			col[i] = x.V.AsFloat()
-		}
-		return func(*vbuf.Batch) ([]float64, []bool) { return col, nil }, nil
+		return constColumn(&c.constCell(x).f), nil
 	case *expr.Ref, *expr.FieldAcc:
 		s, ok := c.resolveSlot(e)
 		if !ok || s.Class != vbuf.ClassFloat {
@@ -260,11 +271,7 @@ func (c *Compiler) compileVecFloat(e expr.Expr) (vecFloat, error) {
 func (c *Compiler) compileVecStr(e expr.Expr) (vecStr, error) {
 	switch x := e.(type) {
 	case *expr.Const:
-		col := make([]string, vbuf.BatchSize)
-		for i := range col {
-			col[i] = x.V.S
-		}
-		return func(*vbuf.Batch) ([]string, []bool) { return col, nil }, nil
+		return constColumn(&c.constCell(x).s), nil
 	case *expr.Ref, *expr.FieldAcc:
 		s, ok := c.resolveSlot(e)
 		if !ok || s.Class != vbuf.ClassString {
@@ -622,27 +629,28 @@ func (c *Compiler) tryVecConstFilter(x *expr.BinOp) (vecFilter, bool, error) {
 		return nil, false, nil
 	}
 	kt := types.TypeOf(kc.V)
+	cell := c.constCell(kc)
 	switch {
 	case ct.Kind() == types.KindInt && kt.Kind() == types.KindInt:
 		ev, err := c.compileVecInt(col)
 		if err != nil {
 			return nil, true, err
 		}
-		f, err := ordConstFilter(op, ev, kc.V.AsInt())
+		f, err := ordConstFilter(op, ev, &cell.i)
 		return f, true, err
 	case types.Numeric(ct) && types.Numeric(kt):
 		ev, err := c.compileVecFloat(col)
 		if err != nil {
 			return nil, true, err
 		}
-		f, err := ordConstFilter(op, ev, kc.V.AsFloat())
+		f, err := ordConstFilter(op, ev, &cell.f)
 		return f, true, err
 	case ct.Kind() == types.KindString && kt.Kind() == types.KindString:
 		ev, err := c.compileVecStr(col)
 		if err != nil {
 			return nil, true, err
 		}
-		f, err := ordConstFilter(op, ev, kc.V.S)
+		f, err := ordConstFilter(op, ev, &cell.s)
 		return f, true, err
 	}
 	return nil, false, nil
@@ -663,13 +671,15 @@ func flipCmp(op expr.BinKind) expr.BinKind {
 }
 
 // ordConstFilter emits the specialized column-vs-constant selection loop for
-// one operator, with a null-free fast variant. In-place Sel compaction is
-// safe: the write index never passes the read index.
-func ordConstFilter[T cmp.Ordered](op expr.BinKind, col func(b *vbuf.Batch) ([]T, []bool), k T) (vecFilter, error) {
+// one operator, with a null-free fast variant. The literal is read from its
+// frame cell once per batch. In-place Sel compaction is safe: the write
+// index never passes the read index.
+func ordConstFilter[T cmp.Ordered](op expr.BinKind, col func(b *vbuf.Batch) ([]T, []bool), kp *T) (vecFilter, error) {
 	switch op {
 	case expr.OpEq:
 		return func(b *vbuf.Batch) {
 			v, nn := col(b)
+			k := *kp
 			out, n := b.SelScratch(), 0
 			if nn == nil {
 				for _, j := range b.Sel {
@@ -691,6 +701,7 @@ func ordConstFilter[T cmp.Ordered](op expr.BinKind, col func(b *vbuf.Batch) ([]T
 	case expr.OpNe:
 		return func(b *vbuf.Batch) {
 			v, nn := col(b)
+			k := *kp
 			out, n := b.SelScratch(), 0
 			if nn == nil {
 				for _, j := range b.Sel {
@@ -712,6 +723,7 @@ func ordConstFilter[T cmp.Ordered](op expr.BinKind, col func(b *vbuf.Batch) ([]T
 	case expr.OpLt:
 		return func(b *vbuf.Batch) {
 			v, nn := col(b)
+			k := *kp
 			out, n := b.SelScratch(), 0
 			if nn == nil {
 				for _, j := range b.Sel {
@@ -733,6 +745,7 @@ func ordConstFilter[T cmp.Ordered](op expr.BinKind, col func(b *vbuf.Batch) ([]T
 	case expr.OpLe:
 		return func(b *vbuf.Batch) {
 			v, nn := col(b)
+			k := *kp
 			out, n := b.SelScratch(), 0
 			if nn == nil {
 				for _, j := range b.Sel {
@@ -754,6 +767,7 @@ func ordConstFilter[T cmp.Ordered](op expr.BinKind, col func(b *vbuf.Batch) ([]T
 	case expr.OpGt:
 		return func(b *vbuf.Batch) {
 			v, nn := col(b)
+			k := *kp
 			out, n := b.SelScratch(), 0
 			if nn == nil {
 				for _, j := range b.Sel {
@@ -775,6 +789,7 @@ func ordConstFilter[T cmp.Ordered](op expr.BinKind, col func(b *vbuf.Batch) ([]T
 	case expr.OpGe:
 		return func(b *vbuf.Batch) {
 			v, nn := col(b)
+			k := *kp
 			out, n := b.SelScratch(), 0
 			if nn == nil {
 				for _, j := range b.Sel {

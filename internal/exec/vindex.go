@@ -7,8 +7,9 @@
 // pushed predicate, and credit, a run-time notification that feeds the
 // adaptive index-selection policy (cache.Manager.CreditScan). tryBitmapFilter
 // then replaces compare kernels in the vectorized filter cascade with a
-// precomputed-bitmap gather whenever a conjunct's column carries a bitmap
-// index.
+// bitmap gather whenever a conjunct's column carries a bitmap index. The
+// window tests and the bitmaps depend on the literals, so a binding supplies
+// them per run (params.go).
 //
 // Both paths are purely an access-path change: the Select operators above the
 // scan still evaluate their predicates, so a wrong skip or bitmap could only
@@ -17,6 +18,8 @@
 package exec
 
 import (
+	"slices"
+
 	"proteus/internal/algebra"
 	"proteus/internal/cache"
 	"proteus/internal/expr"
@@ -73,8 +76,7 @@ func lowerPred(op expr.BinKind, v types.Value) (cache.Pred, bool) {
 // estimatePredSel estimates a pushed predicate's selectivity from the
 // statistics store (uniform-range for inequalities, distinct-count for
 // equality), falling back to the global default.
-func (c *Compiler) estimatePredSel(dataset string, pp algebra.PushedPred) float64 {
-	st := c.env.Stats
+func estimatePredSel(st *stats.Store, dataset string, pp algebra.PushedPred) float64 {
 	if st == nil {
 		return stats.DefaultSelectivity
 	}
@@ -95,106 +97,69 @@ func (c *Compiler) estimatePredSel(dataset string, pp algebra.PushedPred) float6
 	return stats.DefaultSelectivity
 }
 
-// setupIndexHints matches the scan's pushed predicates against its cached
+// setupIndexHints matches the scan's pushed conjuncts against its cached
 // fields — and, for the rest, against the plug-in's own zone maps when it
 // keeps any (plugin.ZoneMapper: binary columns) — and installs the zoneSkip
-// and credit closures. Under parallel compilation only the first worker
-// notifies the policy — the clones compile one logical scan, not N.
+// and credit closures. The first clone's compile registers the scan site and
+// tells the index policy about the conjuncts before any filter compiles, so
+// an index IndexOn builds now serves this very program; the clones compile
+// one logical scan, not N.
 func (c *Compiler) setupIndexHints(si *scanInfo) {
 	zm, _ := si.in.(plugin.ZoneMapper)
 	if len(si.s.Pushed) == 0 || (len(si.cachedFields) == 0 && zm == nil) {
 		return
 	}
-	caches := c.env.Caches
-	primary := c.shared == nil || c.workerID == 0
-
-	type zoneCheck struct {
-		z  *cache.ZoneMaps
-		p  cache.Pred
-		bm *cache.Bitmap // non-nil: precomputed result bitmap for this pred
+	site, fresh := c.bind.scanSite(si.s)
+	if fresh {
+		site.targets = make([]siteTarget, len(si.s.Pushed))
+		for i, pp := range si.s.Pushed {
+			if _, ok := lowerPred(pp.Op, pp.V); !ok {
+				continue
+			}
+			t := &site.targets[i]
+			for _, cf := range si.cachedFields {
+				if cf.path == pp.Path {
+					t.blk = cf.block
+					break
+				}
+			}
+			if t.blk == nil && zm != nil {
+				t.zones = zm.ZoneMaps(si.ds, pp.Path)
+			}
+		}
+		site.admit(c.env.Caches, c.env.Stats, si.s.Pushed)
 	}
-	var checks []zoneCheck
-	type predMatch struct {
-		blk *cache.Block
-		p   cache.Pred
-	}
-	var matched []predMatch
 	var credited []string
-	seen := map[string]bool{}
-	for _, pp := range si.s.Pushed {
-		p, ok := lowerPred(pp.Op, pp.V)
-		if !ok {
-			continue
-		}
-		var blk *cache.Block
-		for i := range si.cachedFields {
-			if si.cachedFields[i].path == pp.Path {
-				blk = si.cachedFields[i].block
-				break
-			}
-		}
-		if blk == nil {
-			if zm != nil {
-				if z := zm.ZoneMaps(si.ds, pp.Path); z != nil {
-					checks = append(checks, zoneCheck{z: z, p: p})
-				}
-			}
-			continue
-		}
-		matched = append(matched, predMatch{blk: blk, p: p})
-		if !seen[pp.Path] {
-			seen[pp.Path] = true
-			credited = append(credited, pp.Path)
-			if primary {
-				// May build an index right now (IndexOn), so the lookup pass
-				// below runs strictly after every notification.
-				caches.NotePredicate(si.s.Dataset, pp.Path, c.estimatePredSel(si.s.Dataset, pp))
-			}
+	usable := false
+	for i, t := range site.targets {
+		usable = usable || t.blk != nil || t.zones != nil
+		if t.blk != nil && !slices.Contains(credited, si.s.Pushed[i].Path) {
+			credited = append(credited, si.s.Pushed[i].Path)
 		}
 	}
-
-	for _, m := range matched {
-		ck := zoneCheck{z: m.blk.Zones, p: m.p}
-		if ix := m.blk.Index(); ix != nil {
-			if bm, ok := ix.Lookup(m.p.Op, m.p); ok {
-				ck.bm = bm
+	if !usable {
+		return
+	}
+	caches := c.env.Caches
+	// Per-query attribution: skips land on this worker's private counter
+	// cell alongside the manager's cumulative count.
+	var skips *int64
+	if oc := c.opCtr(si.s); oc != nil {
+		skips = &oc.zoneSkips
+	}
+	si.zoneSkip = func(lo, hi int64) bool {
+		for _, ck := range site.checks {
+			if (ck.bm != nil && !ck.bm.AnyRange(lo, hi)) || (ck.z != nil && !ck.z.CanMatchWindow(lo, hi, ck.p)) {
+				caches.CountZoneSkips(1)
+				if skips != nil {
+					*skips++
+				}
+				return true
 			}
 		}
-		if ck.z != nil || ck.bm != nil {
-			checks = append(checks, ck)
-		}
+		return false
 	}
-
-	if len(checks) > 0 {
-		// Per-query attribution: skips land on this worker's private counter
-		// cell alongside the manager's cumulative count.
-		var skips *int64
-		if oc := c.opCtr(si.s); oc != nil {
-			skips = &oc.zoneSkips
-		}
-		si.zoneSkip = func(lo, hi int64) bool {
-			for _, ck := range checks {
-				// The bitmap is exact where the zone range is conservative, so
-				// try it first; either test failing empties the window.
-				if ck.bm != nil && !ck.bm.AnyRange(lo, hi) {
-					caches.CountZoneSkips(1)
-					if skips != nil {
-						*skips++
-					}
-					return true
-				}
-				if ck.z != nil && !ck.z.CanMatchWindow(lo, hi, ck.p) {
-					caches.CountZoneSkips(1)
-					if skips != nil {
-						*skips++
-					}
-					return true
-				}
-			}
-			return false
-		}
-	}
-	if primary && len(credited) > 0 {
+	if (c.shared == nil || c.workerID == 0) && len(credited) > 0 {
 		dataset := si.s.Dataset
 		si.credit = func() {
 			for _, p := range credited {
@@ -207,12 +172,14 @@ func (c *Compiler) setupIndexHints(si *scanInfo) {
 // compileSegFilter compiles one Select predicate of a vectorized segment
 // into one filter per top-level conjunct, so each can independently take
 // the bitmap path (and, predicate-first, load only the columns it reads);
-// everything else falls through to the general compare kernels.
-func (c *Compiler) compileSegFilter(si *scanInfo, e expr.Expr) ([]expr.Expr, []vecFilter, error) {
+// everything else falls through to the general compare kernels. The
+// conjuncts on one indexed column share one bitmap site of sites: the first
+// runs the gather, the others are no-ops.
+func (c *Compiler) compileSegFilter(si *scanInfo, e expr.Expr, sites *[]selectSite) ([]expr.Expr, []vecFilter, error) {
 	conj := expr.SplitConjuncts(e)
 	filters := make([]vecFilter, len(conj))
 	for i, x := range conj {
-		if f, ok := c.tryBitmapFilter(si, x); ok {
+		if f, ok := c.tryBitmapFilter(si, x, sites); ok {
 			filters[i] = f
 			continue
 		}
@@ -227,6 +194,13 @@ func (c *Compiler) compileSegFilter(si *scanInfo, e expr.Expr) ([]expr.Expr, []v
 		filters[i] = f
 	}
 	return conj, filters, nil
+}
+
+// selectSite is a bitmap site of the segment being compiled; fresh when
+// this compile created it and so fills in its conjuncts.
+type selectSite struct {
+	site  *bitmapSite
+	fresh bool
 }
 
 // indexedBlockFor resolves a column expression to the scan's cached block
@@ -245,9 +219,11 @@ func (c *Compiler) indexedBlockFor(si *scanInfo, col expr.Expr) (*cache.Block, s
 	return nil, ""
 }
 
-// bitmapGather compiles a precomputed result bitmap into the zero-alloc
-// selection-vector kernel shared by the bitmap and dictionary filter paths.
-func (c *Compiler) bitmapGather(si *scanInfo, bm *cache.Bitmap) vecFilter {
+// bitmapGather compiles a bitmap site into the zero-alloc selection-vector
+// kernel shared by the bitmap and dictionary filter paths. It reads the
+// site's bitmap once per batch, so a new binding takes effect on the next
+// run.
+func (c *Compiler) bitmapGather(si *scanInfo, site *bitmapSite) vecFilter {
 	caches := c.env.Caches
 	// Per-query attribution: hits land on this worker's private counter cell
 	// alongside the manager's cumulative count.
@@ -260,6 +236,7 @@ func (c *Compiler) bitmapGather(si *scanInfo, bm *cache.Bitmap) vecFilter {
 		if hits != nil {
 			*hits++
 		}
+		bm := site.bm
 		if b.FullSel() {
 			// Whole batch still selected: emit the bitmap window directly.
 			b.Sel = bm.FillSel(b.Base, b.N, b.SelScratch())
@@ -278,12 +255,14 @@ func (c *Compiler) bitmapGather(si *scanInfo, bm *cache.Bitmap) vecFilter {
 }
 
 // tryBitmapFilter recognizes a column-vs-constant comparison whose column is
-// served from a cache block carrying a bitmap index, and compiles it down to
-// a selection-vector gather over the precomputed result bitmap: the lookup
-// (bitmap OR/AND-NOT over sorted keys) happens once at compile time, and the
-// per-batch kernel allocates nothing. Mixed int/float comparisons and
+// served from a cache block carrying a bitmap index the comparison can
+// consult, and compiles it down to a selection-vector gather over the
+// bitmap its site binds per literal (params.go): the lookup (bitmap ORs
+// over sorted keys) happens once per binding, and the per-batch kernel
+// allocates nothing. A second conjunct on the same column joins the first
+// one's site and compiles to a no-op. Mixed int/float comparisons and
 // operators the index cannot answer fall back to the compare kernels.
-func (c *Compiler) tryBitmapFilter(si *scanInfo, e expr.Expr) (vecFilter, bool) {
+func (c *Compiler) tryBitmapFilter(si *scanInfo, e expr.Expr, sites *[]selectSite) (vecFilter, bool) {
 	x, ok := e.(*expr.BinOp)
 	if !ok || !x.Op.IsComparison() {
 		return nil, false
@@ -302,15 +281,25 @@ func (c *Compiler) tryBitmapFilter(si *scanInfo, e expr.Expr) (vecFilter, bool) 
 		return nil, false
 	}
 	p, ok := lowerPred(op, kc.V)
-	if !ok {
-		return nil, false
-	}
-	bm, ok := blk.Index().Lookup(p.Op, p)
-	if !ok {
+	if !ok || !blk.Index().Answers(p.Op, p.Kind) {
 		return nil, false
 	}
 	c.note("scan %s: filter %s served by bitmap index on %s", si.s.Dataset, e, pk)
-	return c.bitmapGather(si, bm), true
+	sp := sitePred{op: op, slot: slices.Index(c.bind.params, kc), v: kc.V}
+	for _, s := range *sites {
+		if s.site.blk == blk {
+			if s.fresh {
+				s.site.preds = append(s.site.preds, sp)
+			}
+			return noopFilter, true
+		}
+	}
+	site, fresh := c.bind.filterSite(e, blk)
+	if fresh {
+		site.preds = append(site.preds, sp)
+	}
+	*sites = append(*sites, selectSite{site, fresh})
+	return c.bitmapGather(si, site), true
 }
 
 // tryDictFilter serves a LIKE predicate over a dictionary-encoded indexed
@@ -333,5 +322,5 @@ func (c *Compiler) tryDictFilter(si *scanInfo, e expr.Expr) (vecFilter, bool) {
 	}
 	c.note("scan %s: filter %s served by dictionary index on %s (%d distinct)",
 		si.s.Dataset, e, pk, blk.Index().Dict().Len())
-	return c.bitmapGather(si, bm), true
+	return c.bitmapGather(si, &bitmapSite{bm: bm}), true
 }

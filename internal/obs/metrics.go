@@ -43,9 +43,15 @@ type Metrics struct {
 	ScanFieldsParsed atomic.Int64
 	ScanIndexHits    atomic.Int64
 
-	// Compiled-plan cache outcomes (engine-level, one per query).
-	PlanCacheHits   atomic.Int64
-	PlanCacheMisses atomic.Int64
+	// Compiled-plan cache outcomes (engine-level, one per query). A hit is a
+	// run that compiled nothing: a text hit reuses the text's binding, a
+	// shape hit binds the text's literals into a program of its shape. A
+	// miss compiles, for one of PlanMissReasons.
+	PlanCacheHits      atomic.Int64
+	PlanCacheMisses    atomic.Int64
+	PlanCacheTextHits  atomic.Int64
+	PlanCacheShapeHits atomic.Int64
+	PlanCacheMissesBy  [len(PlanMissReasons)]atomic.Int64
 
 	// SlowQueries counts queries recorded by the slow-query log.
 	SlowQueries atomic.Int64
@@ -90,6 +96,46 @@ const (
 // proteus_cluster_fallbacks_total, in ClusterFallbacks cell order.
 var ClusterFallbackReasons = [...]string{
 	FallbackNoWorkers, FallbackUnpartitionable, FallbackSingleMorsel, FallbackStateUncodable, FallbackFPMismatch,
+}
+
+// PlanMiss is why a query's program had to be compiled.
+type PlanMiss int
+
+// Plan-cache miss reasons, in PlanMissReasons order.
+const (
+	PlanMissCold    PlanMiss = iota // the shape was never compiled
+	PlanMissEpoch                   // the catalog or the cache contents changed since
+	PlanMissEvicted                 // the shape's programs were evicted for room
+	PlanMissBusy                    // every program of the shape was running
+)
+
+// PlanMissReasons enumerates the reason label of
+// proteus_plan_cache_misses_total, in PlanMiss order.
+var PlanMissReasons = [...]string{"cold", "epoch", "evicted", "busy"}
+
+// CountPlanHit counts one run that compiled nothing: a shape hit when
+// shape is set, a text hit otherwise.
+func (m *Metrics) CountPlanHit(shape bool) {
+	m.PlanCacheHits.Add(1)
+	if shape {
+		m.PlanCacheShapeHits.Add(1)
+	} else {
+		m.PlanCacheTextHits.Add(1)
+	}
+}
+
+// CountPlanMiss counts one compile, by reason.
+func (m *Metrics) CountPlanMiss(r PlanMiss) {
+	m.PlanCacheMisses.Add(1)
+	m.PlanCacheMissesBy[r].Add(1)
+}
+
+// PlanMisses is the plan-cache misses of a Snapshot by reason.
+type PlanMisses struct {
+	Cold    int64 `json:"cold"`
+	Epoch   int64 `json:"epoch"`
+	Evicted int64 `json:"evicted"`
+	Busy    int64 `json:"busy"`
 }
 
 // CountClusterFallback increments one reason's fallback counter.
@@ -180,8 +226,11 @@ type Snapshot struct {
 	ScanFieldsParsed int64 `json:"scan_fields_parsed"`
 	ScanIndexHits    int64 `json:"scan_index_hits"`
 
-	PlanCacheHits   int64 `json:"plan_cache_hits"`
-	PlanCacheMisses int64 `json:"plan_cache_misses"`
+	PlanCacheHits        int64      `json:"plan_cache_hits"`
+	PlanCacheMisses      int64      `json:"plan_cache_misses"`
+	PlanCacheTextHits    int64      `json:"plan_cache_text_hits"`
+	PlanCacheShapeHits   int64      `json:"plan_cache_shape_hits"`
+	PlanCacheMissReasons PlanMisses `json:"plan_cache_miss_reasons"`
 
 	SlowQueries int64 `json:"slow_queries"`
 
@@ -276,13 +325,21 @@ func (m *Metrics) Snapshot(cache CacheCounters) Snapshot {
 		ScanIndexHits:      m.ScanIndexHits.Load(),
 		PlanCacheHits:      m.PlanCacheHits.Load(),
 		PlanCacheMisses:    m.PlanCacheMisses.Load(),
-		SlowQueries:        m.SlowQueries.Load(),
-		ClusterQueries:     m.ClusterQueries.Load(),
-		ClusterFragments:   m.ClusterFragments.Load(),
-		ClusterRetries:     m.ClusterRetries.Load(),
-		ClusterHedges:      m.ClusterHedges.Load(),
-		ClusterFallbacks:   fallbacks,
-		ClusterErrors:      m.ClusterErrors.Load(),
+		PlanCacheTextHits:  m.PlanCacheTextHits.Load(),
+		PlanCacheShapeHits: m.PlanCacheShapeHits.Load(),
+		PlanCacheMissReasons: PlanMisses{
+			Cold:    m.PlanCacheMissesBy[PlanMissCold].Load(),
+			Epoch:   m.PlanCacheMissesBy[PlanMissEpoch].Load(),
+			Evicted: m.PlanCacheMissesBy[PlanMissEvicted].Load(),
+			Busy:    m.PlanCacheMissesBy[PlanMissBusy].Load(),
+		},
+		SlowQueries:      m.SlowQueries.Load(),
+		ClusterQueries:   m.ClusterQueries.Load(),
+		ClusterFragments: m.ClusterFragments.Load(),
+		ClusterRetries:   m.ClusterRetries.Load(),
+		ClusterHedges:    m.ClusterHedges.Load(),
+		ClusterFallbacks: fallbacks,
+		ClusterErrors:    m.ClusterErrors.Load(),
 
 		ClusterFragmentBytes:   m.ClusterFragmentBytes.Load(),
 		ClusterFallbackReasons: fallbackReasons,
@@ -378,8 +435,15 @@ func (s Snapshot) Prometheus() string {
 	counter("proteus_scan_fields_parsed_total", "Fields parsed by scan plug-ins.", fmt.Sprint(s.ScanFieldsParsed))
 	counter("proteus_scan_index_hits_total", "Structural-index lookups served.", fmt.Sprint(s.ScanIndexHits))
 
-	counter("proteus_plan_cache_hits_total", "Queries served from the compiled-plan cache.", fmt.Sprint(s.PlanCacheHits))
-	counter("proteus_plan_cache_misses_total", "Queries compiled fresh (plan-cache misses).", fmt.Sprint(s.PlanCacheMisses))
+	b.WriteString("# HELP proteus_plan_cache_hits_total Queries that compiled nothing, by plan-cache level (text: the text's own binding; shape: its literals bound into a program of its shape).\n")
+	b.WriteString("# TYPE proteus_plan_cache_hits_total counter\n")
+	fmt.Fprintf(&b, "proteus_plan_cache_hits_total{level=\"text\"} %d\n", s.PlanCacheTextHits)
+	fmt.Fprintf(&b, "proteus_plan_cache_hits_total{level=\"shape\"} %d\n", s.PlanCacheShapeHits)
+	b.WriteString("# HELP proteus_plan_cache_misses_total Queries compiled fresh (plan-cache misses), by reason.\n")
+	b.WriteString("# TYPE proteus_plan_cache_misses_total counter\n")
+	for i, n := range []int64{s.PlanCacheMissReasons.Cold, s.PlanCacheMissReasons.Epoch, s.PlanCacheMissReasons.Evicted, s.PlanCacheMissReasons.Busy} {
+		fmt.Fprintf(&b, "proteus_plan_cache_misses_total{reason=\"%s\"} %d\n", PlanMissReasons[i], n)
+	}
 
 	counter("proteus_slow_queries_total", "Queries recorded by the slow-query log.", fmt.Sprint(s.SlowQueries))
 

@@ -542,11 +542,7 @@ func (p *Plugin) CompileBatchScan(ds *plugin.Dataset, spec plugin.ScanSpec) (plu
 				ld(b)
 			}
 			if oid != nil {
-				out := b.Ints(oid.Idx)
-				for j := range int(blkEnd - blk) {
-					out[j] = blk + int64(j)
-				}
-				b.Null[oid.Null] = nil
+				b.SetOIDs(*oid, blk, blkEnd)
 			}
 			if err := consume(); err != nil {
 				return err

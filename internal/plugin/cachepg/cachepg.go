@@ -233,11 +233,7 @@ func CompileBatchScan(rows int64, loaders []BatchLoader, oid *vbuf.Slot, morsel 
 			}
 			b.Base = blk
 			if oid != nil {
-				col := b.Ints(oid.Idx)
-				for j := range int(blkEnd - blk) {
-					col[j] = blk + int64(j)
-				}
-				b.Null[oid.Null] = nil
+				b.SetOIDs(*oid, blk, blkEnd)
 			}
 			b.ResetSel(int(blkEnd - blk))
 			if err := consume(); err != nil {

@@ -118,11 +118,7 @@ func (p *Plugin) CompileBatchScan(ds *plugin.Dataset, spec plugin.ScanSpec) (plu
 	finishBatch := func(b *vbuf.Batch, blk, blkEnd int64, consume func() error) error {
 		b.Base = blk
 		if oid != nil {
-			out := b.Ints(oid.Idx)
-			for j := range int(blkEnd - blk) {
-				out[j] = blk + int64(j)
-			}
-			b.Null[oid.Null] = nil
+			b.SetOIDs(*oid, blk, blkEnd)
 		}
 		b.ResetSel(int(blkEnd - blk))
 		return consume()

@@ -28,6 +28,7 @@ type engConfig struct {
 	warm       bool // execute twice, check both runs
 	concurrent bool // execute twice concurrently, check both runs
 	reps       int  // execute sequentially this many times, check every run
+	rebind     bool // then re-run with the literals redrawn (rebind.go)
 	workers    int  // >0: distributed config — scatter over this many in-process worker services
 }
 
@@ -64,6 +65,13 @@ func configMatrix() []engConfig {
 		{name: "idx-off", cfg: engine.Config{Parallelism: 1, Vectorized: exec.VecOn,
 			CacheEnabled: true, CacheStrings: true, Indexes: cache.IndexOff,
 			PlanCacheSize: 64}, warm: true},
+		// A program shared per shape must never keep one text's literals,
+		// bitmaps or dictionary codes: three runs settle the cache blocks
+		// and indexes, then the query re-runs with its literals redrawn,
+		// binding them into the program compiled for the originals.
+		{name: "rebind", cfg: engine.Config{Parallelism: 2, Vectorized: exec.VecOn,
+			CacheEnabled: true, CacheStrings: true, Indexes: cache.IndexOn,
+			PlanCacheSize: 64}, reps: 3, rebind: true},
 		// Observability must never change results: full v2 stack on —
 		// per-query profiles, a zero-ish slow-log threshold so every query
 		// takes the slow-log path, and morsel-event recording on every traced

@@ -249,6 +249,12 @@ func runCase(rep *Report, u *universe, useed int64, caseIdx int,
 				break
 			}
 		}
+		if cfg.rebind {
+			rep.Comparisons++
+			if d := rebindDiverges(er.eng, u, spec); d != "" {
+				report(cfg.name, "rebind", d, &cfg)
+			}
+		}
 	}
 
 	runMetamorphic(rep, spec, engines[0], base, mix(mix(useed, int64(caseIdx)), 7777), report)

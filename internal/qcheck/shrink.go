@@ -93,7 +93,7 @@ func checkDiverges(u *universe, spec *querySpec, cfg engConfig, budget *int) boo
 			return true
 		}
 	}
-	return false
+	return cfg.rebind && rebindDiverges(r.eng, u, spec) != ""
 }
 
 // shrink minimizes a diverging case and renders the reduced repro, or

@@ -1,10 +1,13 @@
 // Prepared statements: POST /v1/prepare validates and compiles a query
 // once, returns an opaque handle, and later /v1/query calls execute by
-// handle. The handle registry stores only the (validated) query text — the
-// compiled program itself lives in the engine's plan LRU, keyed by
-// normalized text and invalidated on catalog/cache epoch changes — so an
-// execute-by-handle is a plan-cache hit that skips parse→optimize→compile
-// without the service holding programs that could go stale.
+// handle. The handle registry stores only the (validated) query text. The
+// compiled program lives in the engine's plan cache: its text level, keyed
+// by normalized text, holds the statement's literals and what is derived
+// from them, and its shape level owns the program, shared with every text
+// that differs only in comparison literals; both are invalidated on
+// catalog/cache epoch changes. So an execute-by-handle is a plan-cache hit
+// that skips parse→optimize→compile, without the service holding programs
+// that could go stale.
 package server
 
 import (

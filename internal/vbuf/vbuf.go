@@ -226,6 +226,24 @@ func (b *Batch) SelScratch() []int32 { return b.selBuf }
 // direct path instead of filtering the previous selection.
 func (b *Batch) FullSel() bool { return len(b.Sel) == b.N }
 
+// SetOIDs fills slot s with the row ordinals lo..hi-1, all valid: the OID
+// column of a scan batch. It writes eight lanes per iteration; with one
+// store per iteration the loop ran 1.7× slower or faster depending only on
+// where the linker placed it.
+func (b *Batch) SetOIDs(s Slot, lo, hi int64) {
+	col := b.Ints(s.Idx)[:hi-lo]
+	j := 0
+	for ; j+8 <= len(col); j += 8 {
+		c := col[j : j+8 : j+8]
+		v := lo + int64(j)
+		c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7] = v, v+1, v+2, v+3, v+4, v+5, v+6, v+7
+	}
+	for ; j < len(col); j++ {
+		col[j] = lo + int64(j)
+	}
+	b.Null[s.Null] = nil
+}
+
 // Ints returns the int column for a slot, allocating backing on first use.
 func (b *Batch) Ints(idx int) []int64 {
 	if b.I[idx] == nil || cap(b.I[idx]) < BatchSize {

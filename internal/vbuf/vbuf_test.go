@@ -159,3 +159,22 @@ func TestBatchSelectionDiscipline(t *testing.T) {
 		}
 	}
 }
+
+func TestSetOIDs(t *testing.T) {
+	var a Alloc
+	s := a.Int()
+	b := NewBatch(&a)
+	for _, n := range []int64{0, 1, 7, 8, 9, 1023, BatchSize} {
+		b.Null[s.Null] = make([]bool, BatchSize)
+		b.SetOIDs(s, 5000, 5000+n)
+		col := b.Ints(s.Idx)
+		for j := int64(0); j < n; j++ {
+			if col[j] != 5000+j {
+				t.Fatalf("n=%d: col[%d] = %d, want %d", n, j, col[j], 5000+j)
+			}
+		}
+		if b.Null[s.Null] != nil {
+			t.Fatalf("n=%d: OIDs left a null column", n)
+		}
+	}
+}

@@ -221,7 +221,10 @@ func TestConcurrentShapeRebind(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if n := e.plans.size(); n > maxShapePrograms {
+	e.plans.mu.Lock()
+	n := e.plans.programs
+	e.plans.mu.Unlock()
+	if n > maxShapePrograms {
 		t.Errorf("one shape holds %d programs, want at most %d", n, maxShapePrograms)
 	}
 }

@@ -38,8 +38,12 @@ import (
 // hold per-run state), so each program is locked for the duration of its
 // run. A statement whose shape has no idle program compiles one more, which
 // joins the shape's pool while it holds fewer than maxShapePrograms — plan
-// caching is an optimization, never a serialization point. Programs count
-// against the capacity; text entries are bounded by it separately.
+// caching is an optimization, never a serialization point.
+//
+// Text entries and programs share the capacity, each counting one, so the
+// cache holds no more programs or plans than a per-text cache of the same
+// capacity would. Room is made by evicting the least recently used text
+// entry or idle shape.
 type planCache struct {
 	mu       sync.Mutex
 	texts    map[string]*textEntry
@@ -205,8 +209,9 @@ func (pc *planCache) lookupShape(key string, catalogEpoch, cacheEpoch uint64) (*
 // replacing the shape entry when needed — and returns it locked (the caller
 // runs it, then releases). A program whose shape's pool is full comes back
 // detached, locked all the same, so the caller's run/release sequence stays
-// uniform; its shape entry is then nil. When every other shape is running,
-// the cache tolerates a transient overflow rather than blocking.
+// uniform; its shape entry is then nil. When nothing else is evictable
+// (every other shape is running), the cache tolerates a transient overflow
+// rather than blocking.
 func (pc *planCache) storeProgram(key string, prog *exec.Program, catalogEpoch, cacheEpoch uint64) (*pooledProg, *shapeEntry) {
 	pp := &pooledProg{prep: Prepared{Program: prog}}
 	pp.mu.Lock()
@@ -224,7 +229,7 @@ func (pc *planCache) storeProgram(key string, prog *exec.Program, catalogEpoch, 
 	if sh != nil && len(sh.progs) >= maxShapePrograms {
 		return pp, nil
 	}
-	for pc.programs >= pc.cap && pc.evictShape(sh) {
+	for pc.full() && pc.evict(sh) {
 	}
 	if sh == nil {
 		sh = &shapeEntry{key: key, catalogEpoch: catalogEpoch, cacheEpoch: cacheEpoch}
@@ -247,15 +252,9 @@ func (pc *planCache) storeText(key string, te *textEntry) {
 	defer pc.mu.Unlock()
 	pc.tick++
 	te.lastUsed = pc.tick
-	if _, exists := pc.texts[key]; !exists && len(pc.texts) >= pc.cap {
-		var lru string
-		var oldest *textEntry
-		for k, o := range pc.texts {
-			if oldest == nil || o.lastUsed < oldest.lastUsed {
-				lru, oldest = k, o
-			}
+	if _, exists := pc.texts[key]; !exists {
+		for pc.full() && pc.evict(te.shape) {
 		}
-		delete(pc.texts, lru)
 	}
 	pc.texts[key] = te
 }
@@ -270,15 +269,31 @@ func (pc *planCache) dropShape(sh *shapeEntry) {
 	sh.evicted = true
 }
 
-// evictShape evicts the least-recently-used shape other than keep whose
-// programs are all idle, and remembers its key. It returns false when
-// nothing is evictable. The caller holds pc.mu.
-func (pc *planCache) evictShape(keep *shapeEntry) bool {
+// full reports whether the text entries and programs fill the capacity.
+// The caller holds pc.mu.
+func (pc *planCache) full() bool { return len(pc.texts)+pc.programs >= pc.cap }
+
+// evict makes room for one entry: it removes the least recently used text
+// entry or, when it is older, the least recently used shape other than keep
+// whose programs are all idle, remembering that shape's key. It returns
+// false when nothing is evictable. The caller holds pc.mu.
+func (pc *planCache) evict(keep *shapeEntry) bool {
+	var lru string
+	var oldest *textEntry
+	for k, te := range pc.texts {
+		if oldest == nil || te.lastUsed < oldest.lastUsed {
+			lru, oldest = k, te
+		}
+	}
 	var victim *shapeEntry
 	for _, sh := range pc.shapes {
 		if sh != keep && (victim == nil || sh.lastUsed < victim.lastUsed) && sh.idle() {
 			victim = sh
 		}
+	}
+	if oldest != nil && (victim == nil || oldest.lastUsed < victim.lastUsed) {
+		delete(pc.texts, lru)
+		return true
 	}
 	if victim == nil {
 		return false
@@ -303,9 +318,9 @@ func (sh *shapeEntry) idle() bool {
 	return true
 }
 
-// size reports the number of programs held (tests only).
+// size reports the number of text entries and programs held (tests only).
 func (pc *planCache) size() int {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	return pc.programs
+	return len(pc.texts) + pc.programs
 }

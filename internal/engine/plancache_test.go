@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -292,6 +293,45 @@ func TestPlanCacheEvictionSkipsBusyEntries(t *testing.T) {
 	if _, _, why := pc.lookupShape("a", 1, 1); why != obs.PlanMissEvicted {
 		t.Errorf("evicted shape's miss reason = %v, want evicted", why)
 	}
+}
+
+// TestPlanCacheSharedCapacity: text entries and programs count against one
+// capacity, and room goes to the least recently used of either, so a shape
+// that recent texts bind into outlives the older texts.
+func TestPlanCacheSharedCapacity(t *testing.T) {
+	pc := newPlanCache(4)
+	pp, sh := pc.storeProgram("s", nil, 1, 1)
+	pp.release()
+	for i := 0; i < 6; i++ {
+		pp, _, _ := pc.lookupShape("s", 1, 1) // a shape hit, as the engine does
+		pc.storeText(fmt.Sprint("t", i), &textEntry{shape: sh, catalogEpoch: 1, cacheEpoch: 1})
+		pp.release()
+	}
+	resident := func(keys ...string) {
+		t.Helper()
+		pc.mu.Lock()
+		defer pc.mu.Unlock()
+		var got []string
+		for k := range pc.texts {
+			got = append(got, k)
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, keys) {
+			t.Errorf("resident texts %v, want %v", got, keys)
+		}
+	}
+	if pc.size() != 4 || pc.shapes["s"] != sh {
+		t.Fatalf("size = %d, want 4 with the shape resident", pc.size())
+	}
+	resident("t3", "t4", "t5")
+	// A new shape's program takes the least recently used entry: the
+	// oldest text, which is older than the shape it bound into.
+	pp, _ = pc.storeProgram("s2", nil, 1, 1)
+	pp.release()
+	if pc.size() != 4 || pc.shapes["s"] != sh {
+		t.Fatalf("size = %d, want 4 with the shape resident", pc.size())
+	}
+	resident("t4", "t5")
 }
 
 // TestPlanCacheOutcomeCounters walks one engine through every plan-cache
